@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shards", type=int, default=1,
                      help="deterministic shards for stages 2-4 (default 1 = sequential)")
     run.add_argument("--parallel", action="store_true",
-                     help="run shard buckets in worker processes instead of threads "
-                          "(same byte-identical output, actual multi-core speedup; "
-                          "needs --shards > 1)")
+                     help="run shard buckets in worker processes instead of one after "
+                          "another in this process (same byte-identical output, actual "
+                          "multi-core speedup; needs --shards > 1)")
     run.add_argument("--metrics", action="store_true",
                      help="print per-stage/per-shard run metrics after the report")
     run.add_argument("--max-bot-events", type=int, default=None,

@@ -69,13 +69,14 @@ class PipelineConfig:
     #: onto N isolated world views and merges the outputs (virtual time =
     #: max across shards, captcha dollars = sum).
     shards: int = 1
-    #: Run shard buckets in worker *processes* instead of threads, so the
-    #: GIL stops serialising the shards' pure-Python work.  Determinism is
-    #: unchanged: each worker rebuilds its shard world from the shared seed
-    #: and returns a picklable outcome, and the parent performs the same
-    #: order-fixed merge — ``shards=N`` output is byte-identical either
-    #: way.  Ignored for ``shards == 1`` and whenever crash injection or
-    #: crash-point recording is armed (those need one process).
+    #: Run shard buckets in worker *processes* instead of one after another
+    #: in this process, so the shards' pure-Python work uses several cores.
+    #: Determinism is unchanged: each worker rebuilds its shard world from
+    #: the shared seed and returns a picklable outcome, and the parent
+    #: performs the same order-fixed merge — ``shards=N`` output is
+    #: byte-identical either way.  Ignored for ``shards == 1`` and whenever
+    #: crash injection or crash-point recording is armed (those need one
+    #: process).
     parallel: bool = False
 
     # Resilience and fault injection.

@@ -97,8 +97,10 @@ def parse_arm(value: str) -> tuple[str, int]:
 def crashpoint(name: str) -> None:
     """Mark a crash site.  A no-op unless armed, recording, or handled.
 
-    Thread-safe: sharded stages hit per-bot points from worker threads, and
-    ``os._exit`` kills the whole process regardless of which thread calls it.
+    Sharded stages run their buckets one after another on the calling
+    thread, so a run's hits arrive in a fixed order and ``name:N`` always
+    names the same unit.  The counters are still lock-guarded, and
+    ``os._exit`` kills the whole process whichever thread calls it.
     """
     if name not in _REGISTERED:
         raise UnknownCrashPointError(f"crash point {name!r} is not in the registry")

@@ -1,21 +1,21 @@
 """Process-pool execution for sharded pipeline stages.
 
-Threads gave the sharded stages isolation but not speed: the work is pure
-Python, so the GIL serialises it and ``shards=4`` runs no faster than
-``shards=1``.  This module moves shard buckets into worker *processes*
-while keeping the determinism contract intact:
+In-process shard buckets run one after another, so ``shards=4`` shortens
+the simulated campaign but uses one core.  This module moves shard
+buckets into worker *processes* while keeping the determinism contract
+intact:
 
 * Each worker rebuilds its shard world from the shared seed (ecosystem
   generation and shard-world construction are pure functions of the
   config), then restores the parent's captured world snapshot — the same
   exact-restore machinery the crash-recovery matrix proves byte-faithful.
 * The worker runs the shared :meth:`AssessmentPipeline.run_shard_bucket`
-  — the identical code path the thread mode runs — and returns a plain
+  — the identical code path in-process shards run — and returns a plain
   JSON-able payload: serialized stage values, fault/quarantine deltas,
   the post-stage world snapshot, clock horizon and journal counters.
 * The parent restores each returned snapshot into its own shard world and
   performs the unchanged order-fixed merge, so ``shards=N`` output is
-  byte-identical whether buckets ran on threads or processes.
+  byte-identical whether buckets ran in-process or in worker processes.
 
 Workers cache the rebuilt pipeline and shard worlds between stages (keyed
 by the config's repr), so the ecosystem is generated once per worker, not
@@ -44,9 +44,8 @@ from repro.core.checkpoint import (
     traceability_to_dict,
 )
 from repro.core.config import PipelineConfig
-from repro.core.journal import WriteAheadJournal, capture_world_state, restore_world_state
-from repro.core.resilience import CircuitBreakerRegistry
-from repro.core.sharding import ShardWorld, partition
+from repro.core.journal import WriteAheadJournal
+from repro.core.sharding import ShardWorld, partition, run_bucket
 from repro.scraper.topgg import ScrapedBot
 
 
@@ -111,9 +110,7 @@ def run_shard_task(spec: ShardTaskSpec) -> dict:
     and virtual durations, exchange count, journal counters and the
     post-stage world snapshot.
     """
-    import time
-
-    from repro.core.pipeline import AssessmentPipeline, PipelineWorld
+    from repro.core.pipeline import AssessmentPipeline
 
     config = spec.config
     key = repr(config)
@@ -126,26 +123,13 @@ def run_shard_task(spec: ShardTaskSpec) -> dict:
     world_key = (key, spec.index)
     shard = _WORKER_WORLDS.get(world_key)
     if shard is None:
-        view = PipelineWorld.build_shard(config, pipeline.world.ecosystem, spec.index, spec.start_time)
-        shard = ShardWorld(
-            index=spec.index,
-            clock=view.clock,
-            internet=view.internet,
-            platform=view.platform,
-            solver=view.solver,
-            breakers=CircuitBreakerRegistry(
-                view.clock,
-                failure_threshold=config.circuit_failure_threshold,
-                recovery_time=config.circuit_recovery_time,
-            ),
-        )
-        _WORKER_WORLDS[world_key] = shard
-    restore_world_state(shard.clock, shard.internet, shard.solver, shard.breakers, spec.world_state)
+        shard = _WORKER_WORLDS[world_key] = pipeline._shard_lane(spec.index, spec.start_time)
+    shard.restore(spec.world_state)
 
     journal = None
     journal_discard = None
     if spec.journal_path is not None:
-        journal = WriteAheadJournal(spec.journal_path)
+        journal = WriteAheadJournal(spec.journal_path, fsync_every=config.journal_fsync_every)
         if journal.discard_detail:
             journal_discard = f"{spec.journal_path.rsplit('/', 1)[-1]}: {journal.discard_detail}"
 
@@ -156,13 +140,10 @@ def run_shard_task(spec: ShardTaskSpec) -> dict:
     else:
         bots = list(spec.bots or [])
 
-    wall_start = time.monotonic()
-    virtual_start = shard.clock.now()
-    exchanges_start = shard.internet.exchanges_total
-    faults_mark = shard.ledger.mark()
-    quarantines_mark = shard.quarantines.mark()
     try:
-        value = pipeline.run_shard_bucket(spec.stage, shard, bots, journal)
+        outcome = run_bucket(
+            shard, bots, lambda world, bucket: pipeline.run_shard_bucket(spec.stage, world, bucket, journal)
+        )
     finally:
         if journal is not None:
             journal.close()
@@ -172,13 +153,13 @@ def run_shard_task(spec: ShardTaskSpec) -> dict:
             _WORKER_WORLDS.pop(world_key, None)
     return {
         "index": spec.index,
-        "value": encode_stage_value(spec.stage, value),
-        "wall_seconds": time.monotonic() - wall_start,
-        "virtual_seconds": shard.clock.now() - virtual_start,
-        "exchanges": shard.internet.exchanges_total - exchanges_start,
-        "faults": [record.to_dict() for record in shard.ledger.records_since(faults_mark)],
-        "quarantines": [record.to_dict() for record in shard.quarantines.records_since(quarantines_mark)],
-        "world": capture_world_state(shard.clock, shard.internet, shard.solver, shard.breakers),
+        "value": encode_stage_value(spec.stage, outcome.value),
+        "wall_seconds": outcome.wall_seconds,
+        "virtual_seconds": outcome.virtual_seconds,
+        "exchanges": outcome.exchanges,
+        "faults": [record.to_dict() for record in outcome.faults],
+        "quarantines": [record.to_dict() for record in outcome.quarantines],
+        "world": shard.capture(),
         "journal_stats": journal.stats.to_dict() if journal is not None else None,
         "journal_discard": journal_discard,
     }

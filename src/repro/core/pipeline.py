@@ -16,8 +16,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.analysis.code_stats import CodeAnalysisSummary
 from repro.analysis.developer_stats import DeveloperDistribution
@@ -45,35 +46,31 @@ from repro.core.journal import (
     StageRecorder,
     UnitTracker,
     WriteAheadJournal,
-    capture_world_state,
     record_resume_provenance,
-    restore_world_state,
     solver_history_dollars,
 )
 from repro.core.metrics import RunMetrics, ShardMetrics, StageMetrics
-from repro.core.resilience import CircuitBreakerRegistry, FaultLedger, FaultRecord, RetryBudget, StageStatus
+from repro.core.resilience import CircuitBreakerRegistry, FaultRecord, RetryBudget, StageStatus
 from repro.core.results import PipelineResult
 from repro.core.storage import RecoveryManager, StorageError, install_disk_chaos
 from repro.core.sharding import (
     ShardedExecutor,
     ShardOutcome,
     ShardWorld,
-    merge_fault_records,
     merge_honeypot_reports,
     merge_in_order,
-    merge_quarantine_records,
     partition,
 )
-from repro.core.supervision import BotSupervisor, QuarantineLog, QuarantineRecord, verify_accounting
+from repro.core.supervision import BotSupervisor, QuarantineRecord, verify_accounting
 from repro.discordsim import behaviors
 from repro.discordsim.permissions import Permission
 from repro.discordsim.platform import DiscordPlatform
 from repro.ecosystem.generator import InviteStatus
 from repro.ecosystem.generator import Ecosystem, EcosystemConfig, generate_ecosystem
-from repro.honeypot.experiment import HoneypotExperiment
+from repro.honeypot.experiment import HoneypotExperiment, HoneypotReport
 from repro.scraper.github import GitHubScraper
 from repro.scraper.topgg import ScrapedBot, TopGGScraper
-from repro.scraper.website import WebsiteScraper
+from repro.scraper.website import PolicyFetchResult, WebsiteScraper
 from repro.sites.botwebsites import BotWebsiteBuilder
 from repro.sites.discordweb import DiscordWebsite
 from repro.sites.github import GitHubSite
@@ -114,51 +111,34 @@ class PipelineWorld:
             ecosystem = StreamingEcosystem(eco_config)
         else:
             ecosystem = generate_ecosystem(eco_config)
-        clock = VirtualClock()
-        internet = VirtualInternet(clock, seed=config.seed)
-        platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
-        build_store_host(ecosystem, internet, config.defenses)
-        DiscordWebsite(ecosystem).register(internet)
-        GitHubSite(ecosystem).register(internet)
-        BotWebsiteBuilder(ecosystem).register(internet)
-        from repro.sites.reddit import RedditSite
+        return _simulation(config, ecosystem, None, 0.0)
 
-        RedditSite(seed=config.seed + 5).register(internet)
-        solver = TwoCaptchaClient(clock, balance=config.captcha_balance, seed=config.seed + 2)
-        if config.chaos_profile is not None:
-            from repro.web.chaos import FaultSchedule
 
-            internet.install_chaos(FaultSchedule(config.chaos_profile, seed=config.chaos_seed))
-        return cls(ecosystem=ecosystem, clock=clock, internet=internet, platform=platform, solver=solver)
+def _simulation(config: PipelineConfig, ecosystem: Ecosystem, index: int | None, start_time: float) -> PipelineWorld:
+    """The simulation over ``ecosystem``: the main world, or shard ``index``'s.
 
-    @classmethod
-    def build_shard(
-        cls, config: PipelineConfig, ecosystem: Ecosystem, index: int, start_time: float
-    ) -> "PipelineWorld":
-        """An isolated per-shard view over an already-generated ecosystem.
+    A shard shares only the read-only ecosystem; its clock, internet (with
+    every site re-registered), platform and captcha solver are its own.
+    Shard seeds are offset by the index, so under chaos each shard draws an
+    independent fault schedule; shard 0 seeds like the main world.
+    """
+    offset = index or 0
+    clock = VirtualClock(start_time)
+    internet = VirtualInternet(clock, seed=config.seed + offset)
+    platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
+    build_store_host(ecosystem, internet, config.defenses)
+    DiscordWebsite(ecosystem).register(internet)
+    GitHubSite(ecosystem).register(internet)
+    BotWebsiteBuilder(ecosystem).register(internet)
+    from repro.sites.reddit import RedditSite
 
-        The ecosystem is shared read-only; the clock, internet (with every
-        site re-registered), platform and captcha solver are private to the
-        shard so worker threads never contend.  Chaos, when configured, is
-        installed per shard with a shard-offset seed so each shard draws an
-        independent fault schedule.
-        """
-        clock = VirtualClock(start_time)
-        internet = VirtualInternet(clock, seed=config.seed + index)
-        platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
-        build_store_host(ecosystem, internet, config.defenses)
-        DiscordWebsite(ecosystem).register(internet)
-        GitHubSite(ecosystem).register(internet)
-        BotWebsiteBuilder(ecosystem).register(internet)
-        from repro.sites.reddit import RedditSite
+    RedditSite(seed=config.seed + 5).register(internet)
+    solver = TwoCaptchaClient(clock, balance=config.captcha_balance, seed=config.seed + 2 + offset)
+    if config.chaos_profile is not None:
+        from repro.web.chaos import FaultSchedule
 
-        RedditSite(seed=config.seed + 5).register(internet)
-        solver = TwoCaptchaClient(clock, balance=config.captcha_balance, seed=config.seed + 2 + index)
-        if config.chaos_profile is not None:
-            from repro.web.chaos import FaultSchedule
-
-            internet.install_chaos(FaultSchedule(config.chaos_profile, seed=config.chaos_seed + index))
-        return cls(ecosystem=ecosystem, clock=clock, internet=internet, platform=platform, solver=solver)
+        internet.install_chaos(FaultSchedule(config.chaos_profile, seed=config.chaos_seed + offset))
+    return PipelineWorld(ecosystem=ecosystem, clock=clock, internet=internet, platform=platform, solver=solver)
 
 
 class _StageTimer:
@@ -200,6 +180,36 @@ class _StageTimer:
         )
 
 
+class _Stage(NamedTuple):
+    """One of stages 2–4, as the stage driver runs it."""
+
+    name: str
+    enabled: bool
+    #: Run the stage on every lane: ``(value, per-shard outcomes or None)``.
+    execute: Callable[[], tuple[Any, list[ShardOutcome] | None]]
+    #: Bots a value accounts for, and bots the stage was given.
+    processed: Callable[[Any], int]
+    population: Callable[[], int]
+    #: The value's checkpoint round-trip.
+    restore: Callable[[PipelineCheckpoint], Any]
+    store: Callable[[PipelineCheckpoint, Any], None]
+
+
+#: The per-bot stages 2 and 3: the scraper each runs on its lane (type and
+#: client id), its result codecs, the link whose host a transport fault is
+#: charged to, and the fault detail a skipped bot gets.
+_UNIT_STAGES = {
+    STAGE_TRACEABILITY: (
+        WebsiteScraper, "policy-scraper", traceability_to_dict, traceability_from_dict,
+        "website_url", "traceability skipped",
+    ),
+    STAGE_CODE: (
+        GitHubScraper, "repo-scraper", repo_analysis_to_dict, repo_analysis_from_dict,
+        "github_url", "code analysis skipped",
+    ),
+}
+
+
 class AssessmentPipeline:
     """Run the full methodology against a world."""
 
@@ -208,16 +218,15 @@ class AssessmentPipeline:
         self.world = world or PipelineWorld.build(self.config)
         self.traceability_analyzer = TraceabilityAnalyzer()
         self.code_analyzer = CodeAnalyzer(ignore_comments=self.config.ignore_comments_in_code_analysis)
+        #: The main world as an execution lane (``index=None``): stages run
+        #: on it exactly as they run on a shard's lane.
+        self.lane = self._lane(self.world, None)
         #: Per-host circuit breakers shared by every scraper in this run.
-        self.breakers = CircuitBreakerRegistry(
-            self.world.clock,
-            failure_threshold=self.config.circuit_failure_threshold,
-            recovery_time=self.config.circuit_recovery_time,
-        )
+        self.breakers = self.lane.breakers
         #: Structured account of every fault the run absorbed.
-        self.ledger = FaultLedger()
+        self.ledger = self.lane.ledger
         #: Bots the supervision layer pulled out of a stage mid-flight.
-        self.quarantines = QuarantineLog()
+        self.quarantines = self.lane.quarantines
         #: Per-stage run metrics (filled by :meth:`run`).
         self.metrics = RunMetrics(shard_count=self.config.shards)
         #: Lazily-built shard worlds (``config.shards > 1`` only).
@@ -229,6 +238,8 @@ class AssessmentPipeline:
         #: World-state snapshots for shards not (yet) rebuilt this process,
         #: restored from the checkpoint or a honeypot stage-complete record.
         self._shard_world_states: dict[str, dict] = {}
+        #: Where streamed stage results spill (created on first use).
+        self._spill_dir: Path | None = None
         #: Process pool for ``config.parallel`` runs (lazily started) and
         #: the journal counters its workers report back.
         self._parallel_runner = None
@@ -247,28 +258,21 @@ class AssessmentPipeline:
     def _stage_budget(self) -> RetryBudget:
         return RetryBudget(self.config.stage_retry_budget)
 
-    def _stage_sink(self, stage: str) -> StageFaultSink:
+    def _sink(self, stage: str, lane: ShardWorld) -> StageFaultSink | None:
+        """A fault sink writing to the lane's ledger on its clock (None unless faults degrade)."""
+        if not self.config.degrade_on_faults:
+            return None
+
         def sink(host: str, error: BaseException, bots_skipped: int, detail: str) -> None:
-            self.ledger.record(stage, host, error, self.world.clock.now(), bots_skipped=bots_skipped, detail=detail)
+            lane.ledger.record(stage, host, error, lane.clock.now(), bots_skipped=bots_skipped, detail=detail)
 
         return sink
 
-    def _degrade_sink(self, stage: str) -> StageFaultSink | None:
-        return self._stage_sink(stage) if self.config.degrade_on_faults else None
+    def _supervisor(self, stage: str, lane: ShardWorld) -> BotSupervisor | None:
+        """A per-bot supervision firewall for ``stage`` on ``lane`` (None when disabled).
 
-    def _supervisor(
-        self,
-        stage: str,
-        world: ShardWorld | None = None,
-        ledger: FaultLedger | None = None,
-        quarantines: QuarantineLog | None = None,
-        bus=None,
-    ) -> BotSupervisor | None:
-        """A per-bot supervision firewall for ``stage`` (None when disabled).
-
-        Defaults write to the pipeline's ledger/quarantine log on the main
-        clock; a sharded stage passes its shard's world, ledger, log and
-        event bus so quarantines land where the shard's other records do.
+        Quarantines land in the lane's ledger and log on the lane's clock;
+        the honeypot stage also guards the lane's platform event bus.
         Transport faults (``WebDriverException``/``NetworkError``) pass
         through untouched — the existing skip/fault-sink paths own those.
         """
@@ -276,10 +280,10 @@ class AssessmentPipeline:
             return None
         return BotSupervisor(
             stage=stage,
-            clock=world.clock if world is not None else self.world.clock,
-            ledger=ledger if ledger is not None else self.ledger,
-            quarantines=quarantines if quarantines is not None else self.quarantines,
-            bus=bus,
+            clock=lane.clock,
+            ledger=lane.ledger,
+            quarantines=lane.quarantines,
+            bus=lane.platform.events if stage == STAGE_HONEYPOT else None,
             max_events=self.config.max_bot_events,
             deadline=self.config.bot_deadline,
             # Storage faults must never be absorbed into a quarantine — a
@@ -332,9 +336,23 @@ class AssessmentPipeline:
             self._journal = self._open_journal(self.config.journal_path)
         return self._journal
 
-    def _shard_journal(self, index: int) -> WriteAheadJournal | None:
-        """The shard's own journal (created with the shard worlds)."""
-        return self._shard_journals.get(index)
+    def _recorder(
+        self, stage: str, lane: ShardWorld, journal: WriteAheadJournal | None, scraper
+    ) -> StageRecorder | None:
+        """The journal cursor for one stage's unit loop on ``lane`` (None without a journal)."""
+        if journal is None:
+            return None
+        tracker = UnitTracker(
+            lane.clock,
+            lane.internet,
+            lane.ledger,
+            lane.quarantines,
+            breakers=lane.breakers,
+            budget=scraper.retry_budget,
+            solver=lane.solver,
+            scraper=scraper,
+        )
+        return StageRecorder(journal, stage, tracker, lane.ledger)
 
     def _capture_all_worlds(self) -> dict:
         """Snapshot the main world and every built shard world.
@@ -343,32 +361,23 @@ class AssessmentPipeline:
         a resumed run that replays stages 2–4 from the checkpoint must not
         lose the shard solver spend those snapshots carry.
         """
-        payload: dict[str, Any] = {
-            "main": capture_world_state(
-                self.world.clock, self.world.internet, self.world.solver, self.breakers
-            ),
-            "shards": dict(self._shard_world_states),
-        }
+        payload: dict[str, Any] = {"main": self.lane.capture(), "shards": dict(self._shard_world_states)}
         if self._shard_executor is not None:
             for shard in self._shard_executor.worlds:
-                payload["shards"][str(shard.index)] = capture_world_state(
-                    shard.clock, shard.internet, shard.solver, shard.breakers
-                )
+                payload["shards"][str(shard.index)] = shard.capture()
         return payload
 
     def _restore_all_worlds(self, payload: dict) -> None:
         """Re-enter the simulation exactly where a snapshot left it."""
         main = payload.get("main")
         if main:
-            restore_world_state(
-                self.world.clock, self.world.internet, self.world.solver, self.breakers, main
-            )
+            self.lane.restore(main)
         shards = {str(key): value for key, value in payload.get("shards", {}).items()}
         if self._shard_executor is not None:
             for shard in self._shard_executor.worlds:
                 state = shards.get(str(shard.index))
                 if state:
-                    restore_world_state(shard.clock, shard.internet, shard.solver, shard.breakers, state)
+                    shard.restore(state)
         self._shard_world_states = shards
 
     def _aggregate_journal_stats(self) -> None:
@@ -419,22 +428,22 @@ class AssessmentPipeline:
             if (index + 1) % chunk == 0:
                 crashpoint("stream.after_chunk")
 
-    def _stage_results(self, stage: str, encode, decode, world=None):
+    def _stage_results(self, stage: str, encode, decode, shard: int | None = None):
         """A stage's result accumulator: a list, or a disk spill when streaming.
 
         One JSONL spill per stage (per shard view, when sharded) beside the
-        checkpoint, using the stage's checkpoint codecs — so the streamed
-        accumulator holds a file handle and a count, never the records.
+        checkpoint, or in a temp directory private to this pipeline, using
+        the stage's checkpoint codecs — so the streamed accumulator holds a
+        file handle and a count, never the records.
         """
         if not self.config.stream:
             return []
         from repro.core.spill import SpillList, spill_dir_for
 
-        shard = getattr(world, "index", None)
+        if self._spill_dir is None:
+            self._spill_dir = spill_dir_for(self.config.checkpoint_path)
         name = stage if shard is None else f"{stage}.shard{shard}"
-        return SpillList(
-            spill_dir_for(self.config.checkpoint_path) / f"{name}.jsonl", encode, decode
-        )
+        return SpillList(self._spill_dir / f"{name}.jsonl", encode, decode)
 
     # -- stages ------------------------------------------------------------
 
@@ -446,21 +455,8 @@ class AssessmentPipeline:
             breakers=self.breakers,
             retry_budget=self._stage_budget(),
         )
-        sink = self._degrade_sink(STAGE_CRAWL)
-        recorder = None
-        journal = self._main_journal()
-        if journal is not None:
-            tracker = UnitTracker(
-                self.world.clock,
-                self.world.internet,
-                self.ledger,
-                self.quarantines,
-                breakers=self.breakers,
-                budget=scraper.retry_budget,
-                solver=self.world.solver,
-                scraper=scraper,
-            )
-            recorder = StageRecorder(journal, STAGE_CRAWL, tracker, self.ledger)
+        sink = self._sink(STAGE_CRAWL, self.lane)
+        recorder = self._recorder(STAGE_CRAWL, self.lane, self._main_journal(), scraper)
         bots_store = None
         if self.config.stream:
             from repro.scraper.checkpoint import scraped_bot_from_dict, scraped_bot_to_dict
@@ -497,12 +493,9 @@ class AssessmentPipeline:
         self,
         active_bots: list[ScrapedBot],
         on_fault: StageFaultSink | None = None,
-        world=None,
-        breakers: CircuitBreakerRegistry | None = None,
+        world: ShardWorld | None = None,
         supervisor: BotSupervisor | None = None,
         journal: WriteAheadJournal | None = None,
-        ledger: FaultLedger | None = None,
-        quarantines: QuarantineLog | None = None,
     ) -> list:
         """Stage 2: website crawl + keyword traceability per active bot.
 
@@ -511,189 +504,124 @@ class AssessmentPipeline:
         of crashing the stage; unreachable-but-resolvable websites remain a
         *classification* outcome (broken traceability), not a fault.
 
-        ``world``/``breakers`` point the stage at an isolated shard view;
-        by default it runs against the pipeline's main world.  With a
-        ``supervisor``, each bot's fetch+classify runs inside the
-        supervision firewall: a crash or deadline blow-out quarantines the
-        bot instead of killing the stage (transport faults still reach
-        ``on_fault`` as before).
-
-        With a ``journal``, every bot — processed, skipped or quarantined —
-        commits one write-ahead record after its unit of work, and a resumed
-        run replays the journal's prefix instead of re-crawling those bots.
-        ``ledger``/``quarantines`` name where the stage's records land (a
-        shard's own logs for sharded runs) so replay appends to the same place.
+        ``world`` points the stage at a shard's lane (its clock, internet,
+        breakers, ledger and quarantine log); by default it runs on the
+        main lane.  ``supervisor`` and ``journal`` are as in
+        :meth:`_run_units`.
         """
-        from repro.scraper.website import PolicyFetchResult
 
-        world = world or self.world
-        ledger = ledger if ledger is not None else self.ledger
-        quarantines = quarantines if quarantines is not None else self.quarantines
-        website_scraper = WebsiteScraper(
-            world.internet,
-            solver=world.solver,
-            client_id="policy-scraper",
-            breakers=breakers or self.breakers,
-            retry_budget=self._stage_budget(),
-        )
-        recorder = None
-        if journal is not None:
-            tracker = UnitTracker(
-                world.clock,
-                world.internet,
-                ledger,
-                quarantines,
-                breakers=breakers or self.breakers,
-                budget=website_scraper.retry_budget,
-                solver=world.solver,
-                scraper=website_scraper,
+        def study(scraper: WebsiteScraper, bot: ScrapedBot):
+            if bot.website_url:
+                fetch = scraper.fetch_policy(bot.website_url)
+            else:
+                fetch = PolicyFetchResult(False, False, False)
+            return self.traceability_analyzer.analyze(
+                bot_name=bot.name,
+                permissions=bot.permissions,
+                has_website=fetch.website_reachable,
+                has_policy_link=fetch.policy_link_found,
+                policy_page_valid=fetch.policy_page_valid,
+                policy_text=fetch.policy_text,
             )
-            recorder = StageRecorder(journal, STAGE_TRACEABILITY, tracker, ledger)
-        results = self._stage_results(
-            STAGE_TRACEABILITY, traceability_to_dict, traceability_from_dict, world=world
+
+        return self._run_units(
+            STAGE_TRACEABILITY, self._stream_units(active_bots), study, world, on_fault, supervisor, journal
         )
-        for bot in self._stream_units(active_bots):
-            if recorder is not None:
-                replayed, payload = recorder.try_replay(bot.name)
-                if replayed:
-                    if payload is not None:
-                        results.append(traceability_from_dict(payload))
-                    continue
-                recorder.begin_unit()
-
-            def study(bot=bot):
-                if bot.website_url:
-                    fetch = website_scraper.fetch_policy(bot.website_url)
-                else:
-                    fetch = PolicyFetchResult(False, False, False)
-                return self.traceability_analyzer.analyze(
-                    bot_name=bot.name,
-                    permissions=bot.permissions,
-                    has_website=fetch.website_reachable,
-                    has_policy_link=fetch.policy_link_found,
-                    policy_page_valid=fetch.policy_page_valid,
-                    policy_text=fetch.policy_text,
-                )
-
-            try:
-                if supervisor is None:
-                    value = study()
-                    results.append(value)
-                    if recorder is not None:
-                        recorder.commit(bot.name, traceability_to_dict(value))
-                        crashpoint("traceability.after_bot")
-                    continue
-                outcome = supervisor.run(bot.name, study)
-            except (WebDriverException, NetworkError) as error:
-                if on_fault is None:
-                    raise
-                on_fault(self._host_of(bot.website_url), error, 1, f"traceability skipped for {bot.name}")
-                if recorder is not None:
-                    recorder.commit(bot.name, None)
-                    crashpoint("traceability.after_bot")
-                continue
-            payload = None
-            if outcome.completed:
-                results.append(outcome.value)
-                payload = traceability_to_dict(outcome.value)
-            if recorder is not None:
-                recorder.commit(bot.name, payload)
-                crashpoint("traceability.after_bot")
-        return results
 
     def analyze_code(
         self,
         active_bots: list[ScrapedBot],
         on_fault: StageFaultSink | None = None,
-        world=None,
-        breakers: CircuitBreakerRegistry | None = None,
+        world: ShardWorld | None = None,
         supervisor: BotSupervisor | None = None,
         journal: WriteAheadJournal | None = None,
-        ledger: FaultLedger | None = None,
-        quarantines: QuarantineLog | None = None,
     ) -> list:
         """Stage 3: GitHub crawl + Table-3 pattern detection.
 
-        Journal semantics match :meth:`analyze_traceability`; the unit key
-        space only covers bots with a GitHub link (the others never run).
+        Arguments match :meth:`analyze_traceability`; only bots with a
+        GitHub link become units (the others never run), while the
+        streamed chunk cadence still counts every active bot.
         """
-        world = world or self.world
-        ledger = ledger if ledger is not None else self.ledger
-        quarantines = quarantines if quarantines is not None else self.quarantines
-        github_scraper = GitHubScraper(
-            world.internet,
-            solver=world.solver,
-            client_id="repo-scraper",
-            breakers=breakers or self.breakers,
+
+        def study(scraper: GitHubScraper, bot: ScrapedBot):
+            fetched = scraper.fetch_repo(bot.github_url)
+            return self.code_analyzer.analyze_repo(
+                bot_name=bot.name,
+                files=fetched.files,
+                link_valid=fetched.link_valid,
+                main_language=fetched.main_language,
+            )
+
+        units = (bot for bot in self._stream_units(active_bots) if bot.github_url)
+        return self._run_units(STAGE_CODE, units, study, world, on_fault, supervisor, journal)
+
+    def _run_units(
+        self,
+        stage: str,
+        units,
+        study: Callable[[Any, ScrapedBot], Any],
+        world: ShardWorld | None,
+        on_fault: StageFaultSink | None,
+        supervisor: BotSupervisor | None,
+        journal: WriteAheadJournal | None,
+    ) -> list:
+        """The per-bot unit loop behind stages 2 and 3.
+
+        Each unit studies one bot with the stage's scraper, built on the
+        ``world`` lane (the main lane by default).  With a ``supervisor``,
+        ``study`` runs inside the supervision firewall: a crash or deadline
+        blow-out quarantines the bot instead of killing the stage.
+        Transport faults reach ``on_fault``, which skips the bot; without a
+        sink they raise.
+
+        With a ``journal``, every bot — processed, skipped or quarantined —
+        commits one write-ahead record after its unit of work, and a resumed
+        run replays the journal's prefix instead of re-crawling those bots.
+        Replayed records land in the lane's ledger and quarantine log, where
+        the live run put them.
+        """
+        scraper_type, client_id, encode, decode, link, skip_detail = _UNIT_STAGES[stage]
+        lane = world or self.lane
+        scraper = scraper_type(
+            lane.internet,
+            solver=lane.solver,
+            client_id=client_id,
+            breakers=lane.breakers,
             retry_budget=self._stage_budget(),
         )
-        recorder = None
-        if journal is not None:
-            tracker = UnitTracker(
-                world.clock,
-                world.internet,
-                ledger,
-                quarantines,
-                breakers=breakers or self.breakers,
-                budget=github_scraper.retry_budget,
-                solver=world.solver,
-                scraper=github_scraper,
-            )
-            recorder = StageRecorder(journal, STAGE_CODE, tracker, ledger)
-        analyses = self._stage_results(
-            STAGE_CODE, repo_analysis_to_dict, repo_analysis_from_dict, world=world
-        )
-        for bot in self._stream_units(active_bots):
-            if not bot.github_url:
-                continue
+        recorder = self._recorder(stage, lane, journal, scraper)
+        results = self._stage_results(stage, encode, decode, lane.index)
+        for bot in units:
             if recorder is not None:
                 replayed, payload = recorder.try_replay(bot.name)
                 if replayed:
                     if payload is not None:
-                        analyses.append(repo_analysis_from_dict(payload))
+                        results.append(decode(payload))
                     continue
                 recorder.begin_unit()
-
-            def study(bot=bot):
-                fetched = github_scraper.fetch_repo(bot.github_url)
-                return self.code_analyzer.analyze_repo(
-                    bot_name=bot.name,
-                    files=fetched.files,
-                    link_valid=fetched.link_valid,
-                    main_language=fetched.main_language,
-                )
-
+            value = None
             try:
                 if supervisor is None:
-                    value = study()
-                    analyses.append(value)
-                    if recorder is not None:
-                        recorder.commit(bot.name, repo_analysis_to_dict(value))
-                        crashpoint("code.after_bot")
-                    continue
-                outcome = supervisor.run(bot.name, study)
+                    value = study(scraper, bot)
+                else:
+                    outcome = supervisor.run(bot.name, lambda: study(scraper, bot))
+                    value = outcome.value if outcome.completed else None
             except (WebDriverException, NetworkError) as error:
                 if on_fault is None:
                     raise
-                on_fault(self._host_of(bot.github_url), error, 1, f"code analysis skipped for {bot.name}")
-                if recorder is not None:
-                    recorder.commit(bot.name, None)
-                    crashpoint("code.after_bot")
-                continue
-            payload = None
-            if outcome.completed:
-                analyses.append(outcome.value)
-                payload = repo_analysis_to_dict(outcome.value)
+                on_fault(self._host_of(getattr(bot, link)), error, 1, f"{skip_detail} for {bot.name}")
+            if value is not None:
+                results.append(value)
             if recorder is not None:
-                recorder.commit(bot.name, payload)
-                crashpoint("code.after_bot")
-        return analyses
+                recorder.commit(bot.name, None if value is None else encode(value))
+                crashpoint(f"{stage}.after_bot")
+        return results
 
     def run_honeypot(
         self,
         on_fault: StageFaultSink | None = None,
         sample: list | None = None,
-        world=None,
+        world: ShardWorld | None = None,
         seed: int | None = None,
         supervisor: BotSupervisor | None = None,
         journal: WriteAheadJournal | None = None,
@@ -702,9 +630,9 @@ class AssessmentPipeline:
 
         ``sample``/``world``/``seed`` let a shard run its bucket of bots on
         its own platform view; the defaults reproduce the sequential run.
-        On the main world a supervisor is built automatically (when
-        supervision is enabled) so hostile runtimes are quarantined; shard
-        callers pass their own, wired to the shard's clock and bus.
+        Called without a ``world``, a supervisor is built automatically
+        (when supervision is enabled) so hostile runtimes are quarantined;
+        lane callers pass their own, wired to the lane's clock and bus.
 
         With a ``journal``, one forensic record is appended per settled bot
         outcome.  Unlike stages 2–3 these records carry no replayable state
@@ -714,8 +642,12 @@ class AssessmentPipeline:
         a resumed run actually replays.
         """
         if supervisor is None and world is None:
-            supervisor = self._supervisor(STAGE_HONEYPOT, bus=self.world.platform.events)
-        world = world or self.world
+            supervisor = self._supervisor(STAGE_HONEYPOT, self.lane)
+        world = world or self.lane
+        if seed is None:
+            # Prime stride keeps shard streams clear of the other
+            # seed-derived streams (seed+1..seed+6).
+            seed = self.config.seed + 3 + (0 if world.index is None else 7919 * (world.index + 1))
         unit_sink = None
         if journal is not None:
 
@@ -723,12 +655,7 @@ class AssessmentPipeline:
                 journal.append(STAGE_HONEYPOT, f"bot-{outcome.bot_name}", {"result": None})
                 crashpoint("honeypot.after_bot")
 
-        experiment = HoneypotExperiment(
-            world.platform,
-            world.internet,
-            solver=world.solver,
-            seed=self.config.seed + 3 if seed is None else seed,
-        )
+        experiment = HoneypotExperiment(world.platform, world.internet, solver=world.solver, seed=seed)
         feed_source = None
         if self.config.use_osn_feed:
             from repro.honeypot.osn_source import OsnFeedSource
@@ -755,15 +682,28 @@ class AssessmentPipeline:
             unit_sink=unit_sink,
         )
 
-    # -- sharded execution -------------------------------------------------------
+    # -- execution lanes ----------------------------------------------------------
+
+    def _lane(self, world: PipelineWorld, index: int | None) -> ShardWorld:
+        """``world`` as an execution lane with circuit breakers of its own."""
+        breakers = CircuitBreakerRegistry(
+            world.clock,
+            failure_threshold=self.config.circuit_failure_threshold,
+            recovery_time=self.config.circuit_recovery_time,
+        )
+        return ShardWorld(index, world.clock, world.internet, world.platform, world.solver, breakers)
+
+    def _shard_lane(self, index: int, start_time: float) -> ShardWorld:
+        """Shard ``index``'s isolated lane over this run's ecosystem."""
+        return self._lane(_simulation(self.config, self.world.ecosystem, index, start_time), index)
 
     def _parallel_active(self) -> bool:
         """Whether shard buckets run in worker processes this run.
 
         Crash injection and crash-point recording need every crashpoint
         hit in one process, so arming either environment knob falls the
-        run back to the in-process (threaded) shard path — same output,
-        byte for byte, just without the parallel speedup.
+        run back to in-process shard buckets — same output, byte for byte,
+        just without the parallel speedup.
         """
         from repro.core.crashpoints import ENV_CRASH_AT, ENV_RECORD
 
@@ -784,103 +724,39 @@ class AssessmentPipeline:
         """
         if self._shard_executor is None:
             start_time = self.world.clock.now()
-            worlds = []
-            for index in range(self.config.shards):
-                view = PipelineWorld.build_shard(self.config, self.world.ecosystem, index, start_time)
-                worlds.append(
-                    ShardWorld(
-                        index=index,
-                        clock=view.clock,
-                        internet=view.internet,
-                        platform=view.platform,
-                        solver=view.solver,
-                        breakers=CircuitBreakerRegistry(
-                            view.clock,
-                            failure_threshold=self.config.circuit_failure_threshold,
-                            recovery_time=self.config.circuit_recovery_time,
-                        ),
-                    )
-                )
-            for shard in worlds:
-                state = self._shard_world_states.get(str(shard.index))
-                if state:
-                    restore_world_state(shard.clock, shard.internet, shard.solver, shard.breakers, state)
+            worlds = [self._shard_lane(index, start_time) for index in range(self.config.shards)]
+            self._shard_executor = ShardedExecutor(worlds)
+            self._restore_all_worlds({"shards": self._shard_world_states})
             # In parallel mode each worker process owns its shard journal
             # exclusively; the parent must not hold (and truncate) them.
             if self.config.journal_path is not None and not self._parallel_active():
-                for shard in worlds:
-                    if shard.index not in self._shard_journals:
-                        self._shard_journals[shard.index] = self._open_journal(
-                            f"{self.config.journal_path}.shard{shard.index}"
-                        )
-            self._shard_executor = ShardedExecutor(worlds)
+                self._shard_journals = {
+                    shard.index: self._open_journal(f"{self.config.journal_path}.shard{shard.index}")
+                    for shard in worlds
+                }
         return self._shard_executor
 
-    def _shard_sink(self, stage: str, shard: ShardWorld) -> StageFaultSink | None:
-        """A fault sink writing to the shard's own ledger on its own clock."""
-        if not self.config.degrade_on_faults:
-            return None
-
-        def sink(host: str, error: BaseException, bots_skipped: int, detail: str) -> None:
-            shard.ledger.record(stage, host, error, shard.clock.now(), bots_skipped=bots_skipped, detail=detail)
-
-        return sink
-
     def run_shard_bucket(self, stage: str, shard: ShardWorld, bots: list, journal: WriteAheadJournal | None):
-        """Run one shard's bucket of ``stage`` — the single code path shared
-        by the threaded executor and the process-pool workers.
+        """Run one lane's bucket of ``stage`` — the single per-bot stage
+        dispatch shared by the main world, in-process shards and the
+        process-pool workers.
 
-        Faults, quarantines and supervision all land in the *shard's* own
-        ledger/log/bus; the caller extracts the stage's deltas afterwards.
+        Faults, quarantines and supervision all land in the *lane's* own
+        ledger/log/bus; a sharded caller extracts the stage's deltas
+        afterwards.
         """
-        if stage == STAGE_TRACEABILITY:
-            return self.analyze_traceability(
-                bots,
-                on_fault=self._shard_sink(STAGE_TRACEABILITY, shard),
-                world=shard,
-                breakers=shard.breakers,
-                supervisor=self._supervisor(
-                    STAGE_TRACEABILITY, world=shard, ledger=shard.ledger, quarantines=shard.quarantines
-                ),
-                journal=journal,
-                ledger=shard.ledger,
-                quarantines=shard.quarantines,
-            )
-        if stage == STAGE_CODE:
-            return self.analyze_code(
-                bots,
-                on_fault=self._shard_sink(STAGE_CODE, shard),
-                world=shard,
-                breakers=shard.breakers,
-                supervisor=self._supervisor(
-                    STAGE_CODE, world=shard, ledger=shard.ledger, quarantines=shard.quarantines
-                ),
-                journal=journal,
-                ledger=shard.ledger,
-                quarantines=shard.quarantines,
-            )
-        if stage == STAGE_HONEYPOT:
-            if not bots:
-                from repro.honeypot.experiment import HoneypotReport
-
-                return HoneypotReport()
-            return self.run_honeypot(
-                on_fault=self._shard_sink(STAGE_HONEYPOT, shard),
-                sample=bots,
-                world=shard,
-                # Prime stride keeps shard streams clear of the other
-                # seed-derived streams (seed+1..seed+6).
-                seed=self.config.seed + 3 + 7919 * (shard.index + 1),
-                supervisor=self._supervisor(
-                    STAGE_HONEYPOT,
-                    world=shard,
-                    ledger=shard.ledger,
-                    quarantines=shard.quarantines,
-                    bus=shard.platform.events,
-                ),
-                journal=journal,
-            )
-        raise ValueError(f"stage {stage!r} is not sharded")
+        if stage not in _UNIT_STAGES and stage != STAGE_HONEYPOT:
+            raise ValueError(f"stage {stage!r} is not sharded")
+        on_fault = self._sink(stage, shard)
+        supervisor = self._supervisor(stage, shard)
+        if stage in _UNIT_STAGES:
+            analyze = self.analyze_traceability if stage == STAGE_TRACEABILITY else self.analyze_code
+            return analyze(bots, on_fault=on_fault, world=shard, supervisor=supervisor, journal=journal)
+        if shard.index is not None and not bots:
+            # An empty shard bucket has nothing to honeypot, so it never
+            # scrapes the OSN feed either.
+            return HoneypotReport()
+        return self.run_honeypot(on_fault=on_fault, sample=bots, world=shard, supervisor=supervisor, journal=journal)
 
     def _process_runner(self):
         """The run's process pool, started on first parallel stage."""
@@ -903,7 +779,7 @@ class AssessmentPipeline:
         The parent captures each shard world, ships it to a worker, and on
         return restores the worker's post-stage snapshot into its own shard
         world — so the parent-side worlds evolve exactly as if the stage had
-        run on threads, and every later consumer (clock sync, checkpointing,
+        run in-process, and every later consumer (clock sync, checkpointing,
         captcha accounting) is none the wiser.
         """
         from repro.core.parallel import ShardTaskSpec, decode_stage_value
@@ -921,7 +797,7 @@ class AssessmentPipeline:
                     # the pickling contract; the worker recomputes its
                     # bucket from the deterministic sample partition.
                     bots=None if stage == STAGE_HONEYPOT else list(bucket),
-                    world_state=capture_world_state(shard.clock, shard.internet, shard.solver, shard.breakers),
+                    world_state=shard.capture(),
                     journal_path=(
                         f"{self.config.journal_path}.shard{shard.index}"
                         if self.config.journal_path is not None
@@ -932,22 +808,15 @@ class AssessmentPipeline:
         payloads = self._process_runner().run(specs)
         outcomes: list[ShardOutcome] = []
         for shard, bucket, payload in zip(executor.worlds, buckets, payloads):
-            restore_world_state(shard.clock, shard.internet, shard.solver, shard.breakers, payload["world"])
+            shard.restore(payload["world"])
             faults = [FaultRecord.from_dict(record) for record in payload["faults"]]
             quarantined = [QuarantineRecord.from_dict(record) for record in payload["quarantines"]]
             shard.ledger.records.extend(faults)
             shard.quarantines.records.extend(quarantined)
             if payload.get("journal_discard"):
                 record_resume_provenance(self.ledger, payload["journal_discard"])
-            stats = payload.get("journal_stats")
-            if stats is not None:
-                self._parallel_journal_stats.merge(
-                    JournalStats(
-                        appended=stats.get("appended", 0),
-                        replayed=stats.get("replayed", 0),
-                        discarded=stats.get("discarded", 0),
-                    )
-                )
+            if payload.get("journal_stats") is not None:
+                self._parallel_journal_stats.merge(JournalStats(**payload["journal_stats"]))
             outcomes.append(
                 ShardOutcome(
                     shard_index=shard.index,
@@ -962,66 +831,39 @@ class AssessmentPipeline:
             )
         return outcomes
 
-    def _run_sharded_stage(self, stage: str, buckets: list[list]) -> list[ShardOutcome]:
-        """Dispatch a sharded stage to processes or threads, then merge."""
+    def _run_lanes(
+        self, stage: str, units, merge: Callable[[list[ShardOutcome]], Any]
+    ) -> tuple[Any, list[ShardOutcome] | None]:
+        """Run ``stage`` over ``units``: on the main lane, or split across shards.
+
+        Sharded, units partition by stable id hash (client id for the
+        honeypot, listing id otherwise); buckets run in worker processes or
+        here in shard order, and ``merge`` folds their values back.  The
+        shards' records then join the run's logs and the main clock moves to
+        the shards' horizon: virtual time merges as *max across shards*,
+        because shards run concurrently in simulated time.
+        """
+        if self.config.shards <= 1:
+            return self.run_shard_bucket(stage, self.lane, units, self._main_journal()), None
+        key = (lambda bot: bot.client_id) if stage == STAGE_HONEYPOT else (lambda bot: bot.listing_id)
+        buckets = partition(units, self.config.shards, key=key)
         executor = self._sharded()
         if self._parallel_active():
             outcomes = self._run_parallel_stage(stage, executor, buckets)
         else:
             outcomes = executor.run_stage(
                 buckets,
-                lambda shard, bots: self.run_shard_bucket(stage, shard, bots, self._shard_journal(shard.index)),
+                lambda shard, bots: self.run_shard_bucket(stage, shard, bots, self._shard_journals.get(shard.index)),
             )
-        self._finish_sharded_stage(executor, outcomes)
-        return outcomes
-
-    def _finish_sharded_stage(self, executor: ShardedExecutor, outcomes: list[ShardOutcome]) -> None:
-        """Merge shard fault records and advance the main clock to the horizon.
-
-        Virtual time merges as *max across shards*: shards ran concurrently
-        in simulated time, so the campaign is as long as its slowest shard.
-        """
-        merge_fault_records(self.ledger, outcomes)
-        merge_quarantine_records(self.quarantines, outcomes)
+        for outcome in outcomes:
+            self.ledger.records.extend(outcome.faults)
+            self.quarantines.records.extend(outcome.quarantines)
         horizon = executor.sync_clocks()
         now = self.world.clock.now()
         if horizon > now:
             self.world.clock.advance(horizon - now)
         crashpoint("sharding.after_merge")
-
-    def _sharded_traceability(self, active: list[ScrapedBot]) -> tuple[list, list[ShardOutcome]]:
-        """Stage 2 across shards, merged back to the input bot order."""
-        buckets = partition(active, self.config.shards, key=lambda bot: bot.listing_id)
-        outcomes = self._run_sharded_stage(STAGE_TRACEABILITY, buckets)
-        merged = merge_in_order(
-            outcomes,
-            [bot.name for bot in active],
-            key=lambda item: item.bot_name,
-            what="traceability merge",
-        )
-        return merged, outcomes
-
-    def _sharded_code(self, active: list[ScrapedBot]) -> tuple[list, list[ShardOutcome]]:
-        """Stage 3 across shards, merged back to the input bot order."""
-        buckets = partition(active, self.config.shards, key=lambda bot: bot.listing_id)
-        outcomes = self._run_sharded_stage(STAGE_CODE, buckets)
-        # Only GitHub-linked bots ever enter the stage; the others are
-        # legitimately absent from every shard, not silently dropped.
-        merged = merge_in_order(
-            outcomes,
-            [bot.name for bot in active if bot.github_url],
-            key=lambda item: item.bot_name,
-            what="code merge",
-        )
-        return merged, outcomes
-
-    def _sharded_honeypot(self) -> tuple["HoneypotReport", list[ShardOutcome]]:
-        """Stage 4 across shards: each shard honeypots its bucket on its own platform."""
-        sample = self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
-        buckets = partition(sample, self.config.shards, key=lambda bot: bot.client_id)
-        outcomes = self._run_sharded_stage(STAGE_HONEYPOT, buckets)
-        merged = merge_honeypot_reports(outcomes, [bot.name for bot in sample])
-        return merged, outcomes
+        return merge(outcomes), outcomes
 
     # -- orchestration ----------------------------------------------------------
 
@@ -1032,13 +874,20 @@ class AssessmentPipeline:
         per-bot faults skip the bot, stage-level faults mark the stage
         ``FAILED``, and everything lost is accounted in ``fault_ledger``.
         With ``config.checkpoint_path``, the pipeline snapshots after every
-        stage and a re-run resumes from the last completed one.
+        stage and a re-run resumes from the last completed one.  The
+        journals and the process pool close however the run ends.
         """
+        try:
+            return self._run_stages()
+        finally:
+            self._close_journals()
+            self._close_parallel_runner()
+
+    def _run_stages(self) -> PipelineResult:
         started_wall = time.monotonic()
         started_virtual = self.world.clock.now()
         spent_before = self.world.solver.total_spent
         self.metrics = RunMetrics(shard_count=self.config.shards)
-        sharded = self.config.shards > 1
 
         checkpoint: PipelineCheckpoint | None = None
         if self.config.checkpoint_path is not None:
@@ -1090,174 +939,26 @@ class AssessmentPipeline:
 
         result.risk_summary = RiskSummary.from_bots(crawl.bots)
 
-        # Stage 2: traceability analysis.
-        if self.config.run_traceability:
-            if checkpoint is not None and checkpoint.has_stage(STAGE_TRACEABILITY):
-                result.traceability_results, result.validation = checkpoint.restore_traceability()
-                status[STAGE_TRACEABILITY] = StageStatus.RESUMED.value
-                self._restore_stage_metrics(checkpoint, STAGE_TRACEABILITY)
+        # Stages 2–4: one driver over the stage table.
+        values: dict[str, Any] = {}
+        for stage in self._stage_table(active):
+            if stage.enabled:
+                values[stage.name] = self._drive(stage, checkpoint, status)
             else:
-                timer = _StageTimer(self, STAGE_TRACEABILITY)
-                outcomes: list[ShardOutcome] | None = None
-                try:
-                    if sharded:
-                        result.traceability_results, outcomes = self._sharded_traceability(active)
-                    else:
-                        result.traceability_results = self.analyze_traceability(
-                            active,
-                            on_fault=self._degrade_sink(STAGE_TRACEABILITY),
-                            supervisor=self._supervisor(STAGE_TRACEABILITY),
-                            journal=self._main_journal(),
-                        )
-                    result.validation = self._validate_traceability()
-                    status[STAGE_TRACEABILITY] = self._stage_outcome(STAGE_TRACEABILITY)
-                except (WebDriverException, NetworkError) as error:
-                    if not self.config.degrade_on_faults:
-                        raise
-                    self._record_stage_failure(STAGE_TRACEABILITY, error)
-                    status[STAGE_TRACEABILITY] = StageStatus.FAILED.value
-                entry = timer.finish(bots_processed=len(result.traceability_results), outcomes=outcomes)
-                entry.outcome = status[STAGE_TRACEABILITY]
-                self.metrics.record(entry)
-                self._enforce_accounting(STAGE_TRACEABILITY, len(active), status[STAGE_TRACEABILITY])
-                if checkpoint is not None and status[STAGE_TRACEABILITY] != StageStatus.FAILED.value:
-                    checkpoint.store_traceability(result.traceability_results, result.validation)
-                    self._save_checkpoint(checkpoint, status)
-            if status[STAGE_TRACEABILITY] != StageStatus.FAILED.value:
-                # A dead stage stays None — an all-zero summary would read
-                # as "nothing disclosed" instead of "nothing measured".
-                result.traceability_summary = TraceabilitySummary.from_results(result.traceability_results)
-        else:
-            status[STAGE_TRACEABILITY] = StageStatus.SKIPPED.value
-
-        # Stage 3: code analysis.
-        if self.config.run_code_analysis:
-            if checkpoint is not None and checkpoint.has_stage(STAGE_CODE):
-                result.repo_analyses = checkpoint.restore_code()
-                status[STAGE_CODE] = StageStatus.RESUMED.value
-                self._restore_stage_metrics(checkpoint, STAGE_CODE)
-            else:
-                timer = _StageTimer(self, STAGE_CODE)
-                outcomes = None
-                try:
-                    if sharded:
-                        result.repo_analyses, outcomes = self._sharded_code(active)
-                    else:
-                        result.repo_analyses = self.analyze_code(
-                            active,
-                            on_fault=self._degrade_sink(STAGE_CODE),
-                            supervisor=self._supervisor(STAGE_CODE),
-                            journal=self._main_journal(),
-                        )
-                    status[STAGE_CODE] = self._stage_outcome(STAGE_CODE)
-                except (WebDriverException, NetworkError) as error:
-                    if not self.config.degrade_on_faults:
-                        raise
-                    self._record_stage_failure(STAGE_CODE, error)
-                    status[STAGE_CODE] = StageStatus.FAILED.value
-                entry = timer.finish(bots_processed=len(result.repo_analyses), outcomes=outcomes)
-                entry.outcome = status[STAGE_CODE]
-                self.metrics.record(entry)
-                self._enforce_accounting(
-                    STAGE_CODE, sum(1 for bot in active if bot.github_url), status[STAGE_CODE]
-                )
-                if checkpoint is not None and status[STAGE_CODE] != StageStatus.FAILED.value:
-                    checkpoint.store_code(result.repo_analyses)
-                    self._save_checkpoint(checkpoint, status)
-            if status[STAGE_CODE] != StageStatus.FAILED.value:
-                result.code_summary = CodeAnalysisSummary.from_analyses(
-                    active_bots=len(active),
-                    github_links=sum(1 for bot in active if bot.github_url),
-                    analyses=result.repo_analyses,
-                )
-        else:
-            status[STAGE_CODE] = StageStatus.SKIPPED.value
-
-        # Stage 4: dynamic analysis.
-        if self.config.run_honeypot:
-            if checkpoint is not None and checkpoint.has_stage(STAGE_HONEYPOT):
-                result.honeypot = checkpoint.restore_honeypot()
-                status[STAGE_HONEYPOT] = StageStatus.RESUMED.value
-                self._restore_stage_metrics(checkpoint, STAGE_HONEYPOT)
-            else:
-                replay = self._replay_honeypot_stage()
-                if replay is not None:
-                    result.honeypot, entry, status[STAGE_HONEYPOT] = replay
-                    self.metrics.record(entry)
-                    if (
-                        checkpoint is not None
-                        and status[STAGE_HONEYPOT] != StageStatus.FAILED.value
-                        and result.honeypot is not None
-                    ):
-                        checkpoint.store_honeypot(result.honeypot)
-                        self._save_checkpoint(checkpoint, status)
-                else:
-                    timer = _StageTimer(self, STAGE_HONEYPOT)
-                    outcomes = None
-                    sample = self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
-                    faults_mark = self.ledger.mark()
-                    quarantines_mark = self.quarantines.mark()
-                    try:
-                        if sharded:
-                            result.honeypot, outcomes = self._sharded_honeypot()
-                        else:
-                            result.honeypot = self.run_honeypot(
-                                on_fault=self._degrade_sink(STAGE_HONEYPOT),
-                                sample=sample,
-                                journal=self._main_journal(),
-                            )
-                        status[STAGE_HONEYPOT] = self._stage_outcome(STAGE_HONEYPOT)
-                    except (WebDriverException, NetworkError) as error:
-                        if not self.config.degrade_on_faults:
-                            raise
-                        self._record_stage_failure(STAGE_HONEYPOT, error)
-                        status[STAGE_HONEYPOT] = StageStatus.FAILED.value
-                    entry = timer.finish(
-                        bots_processed=result.honeypot.bots_processed if result.honeypot is not None else 0,
-                        outcomes=outcomes,
-                    )
-                    entry.outcome = status[STAGE_HONEYPOT]
-                    self.metrics.record(entry)
-                    self._enforce_accounting(STAGE_HONEYPOT, len(sample), status[STAGE_HONEYPOT])
-                    journal = self._main_journal()
-                    if (
-                        journal is not None
-                        and status[STAGE_HONEYPOT] != StageStatus.FAILED.value
-                        and result.honeypot is not None
-                    ):
-                        # Per-bot honeypot records are forensic only; this
-                        # record is what a crash between here and the
-                        # checkpoint save replays: the merged report, the
-                        # post-stage world, and the stage's fault deltas.
-                        journal.append(
-                            STAGE_HONEYPOT,
-                            "stage_complete",
-                            {
-                                "result": {
-                                    "report": honeypot_to_dict(result.honeypot),
-                                    "metrics": entry.to_dict(),
-                                    "status": status[STAGE_HONEYPOT],
-                                },
-                                "world": self._capture_all_worlds(),
-                                "faults": [
-                                    record.to_dict() for record in self.ledger.records_since(faults_mark)
-                                ],
-                                "quarantines": [
-                                    record.to_dict()
-                                    for record in self.quarantines.records_since(quarantines_mark)
-                                ],
-                            },
-                        )
-                        crashpoint("honeypot.before_save")
-                    if (
-                        checkpoint is not None
-                        and status[STAGE_HONEYPOT] != StageStatus.FAILED.value
-                        and result.honeypot is not None
-                    ):
-                        checkpoint.store_honeypot(result.honeypot)
-                        self._save_checkpoint(checkpoint, status)
-        else:
-            status[STAGE_HONEYPOT] = StageStatus.SKIPPED.value
+                status[stage.name] = StageStatus.SKIPPED.value
+        # A dead stage (None) gets no summary: an all-zero one would read
+        # as "nothing disclosed" instead of "nothing measured".
+        if values.get(STAGE_TRACEABILITY) is not None:
+            result.traceability_results, result.validation = values[STAGE_TRACEABILITY]
+            result.traceability_summary = TraceabilitySummary.from_results(result.traceability_results)
+        if values.get(STAGE_CODE) is not None:
+            result.repo_analyses = values[STAGE_CODE]
+            result.code_summary = CodeAnalysisSummary.from_analyses(
+                active_bots=len(active),
+                github_links=sum(1 for bot in active if bot.github_url),
+                analyses=result.repo_analyses,
+            )
+        result.honeypot = values.get(STAGE_HONEYPOT)
 
         crashpoint("run.before_result")
         result.fault_ledger = self.ledger
@@ -1279,9 +980,118 @@ class AssessmentPipeline:
                 solver_history_dollars(state.get("solver", {}))
                 for state in self._shard_world_states.values()
             )
-        self._close_journals()
-        self._close_parallel_runner()
         return result
+
+    def _stage_table(self, active) -> tuple[_Stage, ...]:
+        """Stages 2–4 in run order, each with what sets it apart."""
+        by_name = attrgetter("bot_name")
+
+        def traceability():
+            results, outcomes = self._run_lanes(
+                STAGE_TRACEABILITY,
+                active,
+                lambda outcomes: merge_in_order(
+                    outcomes, [bot.name for bot in active], key=by_name, what="traceability merge"
+                ),
+            )
+            return (results, self._validate_traceability()), outcomes
+
+        def code():
+            # Only GitHub-linked bots ever enter the stage; the others are
+            # legitimately absent from every shard, not silently dropped.
+            return self._run_lanes(
+                STAGE_CODE,
+                active,
+                lambda outcomes: merge_in_order(
+                    outcomes, [bot.name for bot in active if bot.github_url], key=by_name, what="code merge"
+                ),
+            )
+
+        def sample() -> list:
+            return self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
+
+        def honeypot():
+            bots = sample()
+            return self._run_lanes(
+                STAGE_HONEYPOT, bots, lambda outcomes: merge_honeypot_reports(outcomes, [bot.name for bot in bots])
+            )
+
+        return (
+            _Stage(
+                STAGE_TRACEABILITY,
+                self.config.run_traceability,
+                traceability,
+                processed=lambda value: len(value[0]),
+                population=lambda: len(active),
+                restore=PipelineCheckpoint.restore_traceability,
+                store=lambda checkpoint, value: checkpoint.store_traceability(*value),
+            ),
+            _Stage(
+                STAGE_CODE,
+                self.config.run_code_analysis,
+                code,
+                processed=len,
+                population=lambda: sum(1 for bot in active if bot.github_url),
+                restore=PipelineCheckpoint.restore_code,
+                store=PipelineCheckpoint.store_code,
+            ),
+            _Stage(
+                STAGE_HONEYPOT,
+                self.config.run_honeypot,
+                honeypot,
+                processed=lambda report: report.bots_processed,
+                population=lambda: len(sample()),
+                restore=PipelineCheckpoint.restore_honeypot,
+                store=PipelineCheckpoint.store_honeypot,
+            ),
+        )
+
+    def _drive(self, stage: _Stage, checkpoint: PipelineCheckpoint | None, status: dict[str, str]) -> Any:
+        """Run one of stages 2–4; return its value, or None when it failed.
+
+        A stage the checkpoint holds resumes from it, and a honeypot stage
+        whose ``stage_complete`` record the journal holds replays from that.
+        Any other stage executes on every lane: timed, marked ``failed``
+        when a transport fault escapes it, and held to the accounting
+        invariant.  A value that did not come from the checkpoint is saved
+        into it.
+        """
+        name = stage.name
+        if checkpoint is not None and checkpoint.has_stage(name):
+            value = stage.restore(checkpoint)
+            status[name] = StageStatus.RESUMED.value
+            self._restore_stage_metrics(checkpoint, name)
+            return value
+        replay = self._replay_honeypot_stage() if name == STAGE_HONEYPOT else None
+        if replay is not None:
+            value, entry, status[name] = replay
+            self.metrics.record(entry)
+        else:
+            timer = _StageTimer(self, name)
+            # The honeypot's stage_complete record carries the stage's records.
+            faults_mark = self.ledger.mark()
+            quarantines_mark = self.quarantines.mark()
+            value = outcomes = None
+            try:
+                value, outcomes = stage.execute()
+                status[name] = self._stage_outcome(name)
+            except (WebDriverException, NetworkError) as error:
+                if not self.config.degrade_on_faults:
+                    raise
+                self.ledger.record(
+                    name, "<pipeline>", error, self.world.clock.now(), detail="stage aborted; output incomplete"
+                )
+                status[name] = StageStatus.FAILED.value
+            entry = timer.finish(bots_processed=0 if value is None else stage.processed(value), outcomes=outcomes)
+            entry.outcome = status[name]
+            self.metrics.record(entry)
+            self._enforce_accounting(name, stage.population(), status[name])
+            if name == STAGE_HONEYPOT and value is not None:
+                self._journal_honeypot_complete(value, entry, status[name], faults_mark, quarantines_mark)
+        if checkpoint is not None and value is not None:
+            stage.store(checkpoint, value)
+            self._save_checkpoint(checkpoint, status)
+        return value
 
     def _stage_outcome(self, stage: str) -> str:
         return (StageStatus.DEGRADED if self.ledger.count(stage) else StageStatus.COMPLETED).value
@@ -1301,10 +1111,29 @@ class AssessmentPipeline:
             return
         verify_accounting(stage, population, entry.bots_processed, entry.bots_skipped, entry.bots_quarantined)
 
-    def _record_stage_failure(self, stage: str, error: BaseException) -> None:
-        self.ledger.record(
-            stage, "<pipeline>", error, self.world.clock.now(), detail="stage aborted; output incomplete"
+    def _journal_honeypot_complete(
+        self, report: HoneypotReport, entry: StageMetrics, status: str, faults_mark: int, quarantines_mark: int
+    ) -> None:
+        """Journal the honeypot's ``stage_complete`` record (journaled runs only).
+
+        Per-bot honeypot records are forensic only; this record is what a
+        crash between here and the checkpoint save replays: the merged
+        report, the post-stage world, and the stage's fault deltas.
+        """
+        journal = self._main_journal()
+        if journal is None:
+            return
+        journal.append(
+            STAGE_HONEYPOT,
+            "stage_complete",
+            {
+                "result": {"report": honeypot_to_dict(report), "metrics": entry.to_dict(), "status": status},
+                "world": self._capture_all_worlds(),
+                "faults": [record.to_dict() for record in self.ledger.records_since(faults_mark)],
+                "quarantines": [record.to_dict() for record in self.quarantines.records_since(quarantines_mark)],
+            },
         )
+        crashpoint("honeypot.before_save")
 
     def _replay_honeypot_stage(self) -> tuple["HoneypotReport", StageMetrics, str] | None:
         """Replay a journaled ``stage_complete`` honeypot record, if present.

@@ -6,7 +6,11 @@ them over N isolated *shard worlds* — each with its own
 :class:`~repro.web.network.VirtualClock`, its own
 :class:`~repro.web.network.VirtualInternet` (sites re-registered from the
 shared, read-only ecosystem), its own breaker registry, fault ledger and
-captcha solver — and merges the outputs deterministically.
+captcha solver — and merges the outputs deterministically.  Buckets run
+one after another on the calling thread (``parallel=True`` moves them into
+worker processes, see :mod:`repro.core.parallel`); what sharding buys
+in-process is a shorter *simulated* campaign, because the shards run
+concurrently in virtual time.
 
 Determinism contract:
 
@@ -24,12 +28,12 @@ Determinism contract:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from zlib import crc32
 
 from repro.core.crashpoints import crashpoint
+from repro.core.journal import capture_world_state, restore_world_state
 from repro.core.resilience import CircuitBreakerRegistry, FaultLedger, FaultRecord
 from repro.core.supervision import QuarantineLog, QuarantineRecord
 from repro.honeypot.experiment import HoneypotReport
@@ -65,14 +69,16 @@ def partition(items: Iterable[Any], shards: int, key: Callable[[Any], int | str]
 
 @dataclass
 class ShardWorld:
-    """One shard's isolated world view.
+    """One execution lane: the run's main world or one shard's world view.
 
-    The ecosystem itself is shared (read-only); everything stateful —
-    clock, internet, platform, solver, breakers, ledger — is private to
-    the shard so worker threads never contend.
+    The main world is the lane with ``index=None``; its breakers, ledger
+    and quarantine log are the run's own.  A shard lane shares only the
+    read-only ecosystem; everything stateful — clock, internet, platform,
+    solver, breakers, ledger — is private to the shard, so shards cannot
+    observe each other.
     """
 
-    index: int
+    index: int | None
     clock: VirtualClock
     internet: VirtualInternet
     platform: "DiscordPlatform"
@@ -80,6 +86,14 @@ class ShardWorld:
     breakers: CircuitBreakerRegistry
     ledger: FaultLedger = field(default_factory=FaultLedger)
     quarantines: QuarantineLog = field(default_factory=QuarantineLog)
+
+    def capture(self) -> dict:
+        """Snapshot the lane's mutable simulation state (see :func:`capture_world_state`)."""
+        return capture_world_state(self.clock, self.internet, self.solver, self.breakers)
+
+    def restore(self, state: dict) -> None:
+        """Re-enter the simulation exactly where :meth:`capture` left it."""
+        restore_world_state(self.clock, self.internet, self.solver, self.breakers, state)
 
 
 @dataclass
@@ -98,6 +112,35 @@ class ShardOutcome:
     quarantines: list[QuarantineRecord] = field(default_factory=list)
 
 
+def run_bucket(
+    world: ShardWorld, bucket: list[Any], worker: Callable[[ShardWorld, list[Any]], Any]
+) -> ShardOutcome:
+    """Run ``worker(world, bucket)`` and measure what it did to the lane.
+
+    Shared by :class:`ShardedExecutor` and the process-pool workers, so
+    both report the same wall/virtual/exchange deltas and records.
+    """
+    wall_start = time.monotonic()
+    virtual_start = world.clock.now()
+    exchanges_start = world.internet.exchanges_total
+    # Absolute marks, not list indices: a bounded ledger's ring trim
+    # shifts indices mid-stage and a raw slice would ship records from
+    # before the stage as this stage's delta.
+    faults_start = world.ledger.mark()
+    quarantines_start = world.quarantines.mark()
+    value = worker(world, bucket)
+    return ShardOutcome(
+        shard_index=world.index,
+        items=bucket,
+        value=value,
+        wall_seconds=time.monotonic() - wall_start,
+        virtual_seconds=world.clock.now() - virtual_start,
+        exchanges=world.internet.exchanges_total - exchanges_start,
+        faults=world.ledger.records_since(faults_start),
+        quarantines=world.quarantines.records_since(quarantines_start),
+    )
+
+
 class ShardedExecutor:
     """Run stage workers over shard worlds and keep their clocks aligned."""
 
@@ -106,10 +149,6 @@ class ShardedExecutor:
             raise ValueError("at least one shard world is required")
         self.worlds = list(worlds)
 
-    @property
-    def shards(self) -> int:
-        return len(self.worlds)
-
     def run_stage(
         self,
         buckets: Sequence[list[Any]],
@@ -117,46 +156,18 @@ class ShardedExecutor:
     ) -> list[ShardOutcome]:
         """Run ``worker(world, bucket)`` per shard; return outcomes in shard order.
 
-        With a single shard the worker runs on the calling thread;
-        otherwise one thread per shard.  Worker exceptions propagate in
-        shard-index order.  Afterwards every shard clock is advanced to
-        the max across shards (a barrier: the next stage starts with all
-        shards at the same simulated time).
+        Buckets run one after another on the calling thread, in shard-index
+        order, so every crash point fires in a fixed order and the first
+        worker exception ends the stage.  Afterwards every shard clock is
+        advanced to the max across shards (a barrier: the next stage starts
+        with all shards at the same simulated time).
         """
-        if len(buckets) != self.shards:
-            raise ValueError(f"expected {self.shards} buckets, got {len(buckets)}")
-
-        def run_one(world: ShardWorld, bucket: list[Any]) -> ShardOutcome:
-            wall_start = time.monotonic()
-            virtual_start = world.clock.now()
-            exchanges_start = world.internet.exchanges_total
-            # Absolute marks, not list indices: a bounded ledger's ring
-            # trim shifts indices mid-stage and a raw slice would ship
-            # records from before the stage as this stage's delta.
-            faults_start = world.ledger.mark()
-            quarantines_start = world.quarantines.mark()
-            value = worker(world, bucket)
+        if len(buckets) != len(self.worlds):
+            raise ValueError(f"expected {len(self.worlds)} buckets, got {len(buckets)}")
+        outcomes = []
+        for world, bucket in zip(self.worlds, buckets):
+            outcomes.append(run_bucket(world, list(bucket), worker))
             crashpoint("sharding.after_shard")
-            return ShardOutcome(
-                shard_index=world.index,
-                items=bucket,
-                value=value,
-                wall_seconds=time.monotonic() - wall_start,
-                virtual_seconds=world.clock.now() - virtual_start,
-                exchanges=world.internet.exchanges_total - exchanges_start,
-                faults=world.ledger.records_since(faults_start),
-                quarantines=world.quarantines.records_since(quarantines_start),
-            )
-
-        if self.shards == 1:
-            outcomes = [run_one(self.worlds[0], list(buckets[0]))]
-        else:
-            with ThreadPoolExecutor(max_workers=self.shards) as pool:
-                futures = [
-                    pool.submit(run_one, world, list(bucket))
-                    for world, bucket in zip(self.worlds, buckets)
-                ]
-                outcomes = [future.result() for future in futures]
         self.sync_clocks()
         return outcomes
 
@@ -256,15 +267,3 @@ def merge_honeypot_reports(outcomes: Sequence[ShardOutcome], order: Sequence[str
     verify_merge_accounting(outcomes, order, by_name, "honeypot merge")
     merged.outcomes = [by_name[name] for name in order if name in by_name]
     return merged
-
-
-def merge_fault_records(target: FaultLedger, outcomes: Sequence[ShardOutcome]) -> None:
-    """Append every shard's new fault records to ``target`` in shard order."""
-    for outcome in outcomes:
-        target.records.extend(outcome.faults)
-
-
-def merge_quarantine_records(target: QuarantineLog, outcomes: Sequence[ShardOutcome]) -> None:
-    """Append every shard's new quarantine records to ``target`` in shard order."""
-    for outcome in outcomes:
-        target.records.extend(outcome.quarantines)

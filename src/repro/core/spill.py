@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import tempfile
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -211,11 +210,13 @@ def spill_dir_for(checkpoint_path: str | Path | None) -> Path:
     """Directory streamed accumulators spill into.
 
     Beside the checkpoint when one is configured (so a resumed process
-    finds the same files), otherwise a per-process temp directory.
+    finds the same files), otherwise a fresh ``repro-spill-*`` temp
+    directory on every call: a new spill truncates its file, so two runs
+    sharing a directory would destroy each other's results.  Callers keep
+    the returned directory for the whole run.
     """
-    if checkpoint_path is not None:
-        directory = Path(f"{checkpoint_path}.spill")
-    else:
-        directory = Path(tempfile.gettempdir()) / f"repro-spill-{os.getpid()}"
+    if checkpoint_path is None:
+        return Path(tempfile.mkdtemp(prefix="repro-spill-"))
+    directory = Path(f"{checkpoint_path}.spill")
     directory.mkdir(parents=True, exist_ok=True)
     return directory

@@ -78,3 +78,34 @@ def test_record_env_appends_one_line_per_hit(tmp_path, monkeypatch) -> None:
 
 def test_read_fired_missing_file_is_empty(tmp_path) -> None:
     assert read_fired(tmp_path / "absent.txt") == {}
+
+
+def test_sharded_run_fires_crash_points_in_a_fixed_order(tmp_path) -> None:
+    """Shard buckets run one after another, so ``NAME:N`` always names the
+    same unit of a sharded run."""
+    from repro.core.config import PipelineConfig
+    from repro.core.pipeline import AssessmentPipeline
+
+    def fired(workdir) -> list[str]:
+        workdir.mkdir()
+        seen: list[str] = []
+        set_handler(lambda name, count: seen.append(name))
+        config = PipelineConfig(
+            n_bots=90,
+            seed=7,
+            honeypot_sample_size=10,
+            validation_sample_size=8,
+            chaos_profile="hostile",
+            chaos_seed=1,
+            adversarial_bots=2,
+            shards=4,
+            journal_path=str(workdir / "journal.wal"),
+        )
+        AssessmentPipeline(config=config).run()
+        reset()
+        return seen
+
+    first = fired(tmp_path / "first")
+    assert first.count("sharding.after_shard") == 12
+    assert "traceability.after_bot" in first and "honeypot.after_bot" in first
+    assert fired(tmp_path / "second") == first

@@ -1,9 +1,9 @@
-"""Process-pool sharding: byte-identical to threads, with real isolation.
+"""Process-pool sharding: byte-identical to in-process shards, with real isolation.
 
 The determinism contract is the whole point: moving shard buckets from
-threads to worker processes must not change a single byte of the
-comparable result JSON — not under chaos, not with adversarial bots, not
-with journals enabled, not across a crash/resume that mixes the two
+the calling process to worker processes must not change a single byte of
+the comparable result JSON — not under chaos, not with adversarial bots,
+not with journals enabled, not across a crash/resume that mixes the two
 execution modes.
 """
 
@@ -41,16 +41,16 @@ def _comparable_json(result) -> str:
 
 
 @pytest.fixture(scope="module")
-def threaded_golden() -> str:
+def in_process_golden() -> str:
     return _comparable_json(AssessmentPipeline(config=_base_config(parallel=False)).run())
 
 
 class TestParallelEquivalence:
-    def test_byte_identical_to_threaded(self, threaded_golden):
+    def test_byte_identical_to_threaded(self, in_process_golden):
         parallel = AssessmentPipeline(config=_base_config(parallel=True)).run()
-        assert _comparable_json(parallel) == threaded_golden
+        assert _comparable_json(parallel) == in_process_golden
 
-    def test_journaled_parallel_matches_and_owns_shard_journals(self, threaded_golden, tmp_path):
+    def test_journaled_parallel_matches_and_owns_shard_journals(self, in_process_golden, tmp_path):
         config = _base_config(
             parallel=True,
             checkpoint_path=str(tmp_path / "ckpt.json"),
@@ -58,7 +58,7 @@ class TestParallelEquivalence:
         )
         pipeline = AssessmentPipeline(config=config)
         result = pipeline.run()
-        assert _comparable_json(result) == threaded_golden
+        assert _comparable_json(result) == in_process_golden
         # Worker processes wrote the shard journals; the parent held none.
         for index in range(config.shards):
             assert (tmp_path / f"journal.jsonl.shard{index}").exists()
@@ -67,7 +67,7 @@ class TestParallelEquivalence:
         assert result.metrics.journal is not None
         assert result.metrics.journal["appended"] > 0
 
-    def test_resume_from_parallel_checkpoint(self, threaded_golden, tmp_path):
+    def test_resume_from_parallel_checkpoint(self, in_process_golden, tmp_path):
         config = _base_config(
             parallel=True,
             checkpoint_path=str(tmp_path / "ckpt.json"),
@@ -75,14 +75,14 @@ class TestParallelEquivalence:
         )
         AssessmentPipeline(config=config).run()
         resumed = AssessmentPipeline(config=config).run()
-        assert _comparable_json(resumed) == threaded_golden
+        assert _comparable_json(resumed) == in_process_golden
         assert set(resumed.stage_status.values()) == {"resumed"}
 
 
 class TestCrashInjectionFallback:
     def test_armed_crashpoint_forces_in_process_shards(self, monkeypatch):
         """Crash injection needs every crashpoint in one process, so an
-        armed environment silently falls back to the threaded path."""
+        armed environment silently falls back to in-process shards."""
         monkeypatch.setenv(ENV_CRASH_AT, "run.before_result:999")
         pipeline = AssessmentPipeline(config=_base_config(parallel=True))
         assert not pipeline._parallel_active()
@@ -103,6 +103,34 @@ class TestCrashInjectionFallback:
         )
         pipeline.config.shards = 1
         assert not pipeline._parallel_active()
+
+
+class TestFailedRunCleanup:
+    def test_failed_run_stops_workers_and_closes_journals(self, tmp_path):
+        """A run that dies on a full disk still shuts its pool down and
+        closes its journals."""
+        import multiprocessing
+        import os
+
+        from repro.core.storage import DiskFullError, OneShotFault, install_faults
+
+        journal = tmp_path / "journal.jsonl"
+        config = replace(
+            _base_config(
+                parallel=True, checkpoint_path=str(tmp_path / "ckpt.json"), journal_path=str(journal)
+            ),
+            shards=2,
+        )
+        children_before = set(multiprocessing.active_children())
+        # The second checkpoint write is the one after traceability, by
+        # which time the pool is up and the parent's journal is open.
+        install_faults(OneShotFault("checkpoint.write", "enospc", occurrence=2))
+        with pytest.raises(DiskFullError):
+            AssessmentPipeline(config=config).run()
+        assert set(multiprocessing.active_children()) <= children_before
+        if os.path.isdir("/proc/self/fd"):  # no descriptor still names the journal
+            open_files = {os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")}
+            assert str(journal.resolve()) not in open_files
 
 
 class TestTaskPlumbing:

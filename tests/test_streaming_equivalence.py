@@ -120,6 +120,13 @@ class TestPipelineByteIdentity:
         resumed = AssessmentPipeline(config=config).run()
         assert _comparable_json(resumed) == materialized_golden
 
+    def test_checkpointless_runs_keep_their_own_spills(self, materialized_golden):
+        """A later streamed run in the same process must not truncate the
+        spill files an earlier run's result still reads from."""
+        first = AssessmentPipeline(config=_config(stream=True, chunk_size=16)).run()
+        AssessmentPipeline(config=_config(stream=True, chunk_size=16, seed=8)).run()
+        assert _comparable_json(first) == materialized_golden
+
 
 class TestMemoryBounds:
     #: Fixed ceiling on traced peak for pure stream consumption.  Measured
