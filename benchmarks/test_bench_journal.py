@@ -18,6 +18,14 @@ Two acceptance bars from the crash-anywhere work:
    traceability stage's units must redo < 5% of them on resume.  Redone
    units are measured directly from the journal: replayed records are
    never re-appended, so the resumed process's appends ARE the redo set.
+
+3. **Linearity** — unit records carry only what the unit touched, so
+   the WAL grows linearly with the population: on the benchmark's
+   ``durable`` configuration (streamed, checkpointed, per-record fsync,
+   100-bot honeypot sample, seed 1) the WAL's bytes per bot at 2,000 bots
+   must stay within 1.2x of the figure at 500 bots.  A record that
+   re-serializes whole components makes the ratio grow with the
+   population instead (2.5x when records carried the whole world).
 """
 
 from __future__ import annotations
@@ -125,3 +133,33 @@ def test_resume_after_99_percent_redoes_under_5_percent(tmp_path) -> None:
           f"({redone / total * 100:.2f}% of {total})")
     assert total == units
     assert redone / total < 0.05, f"resume redid {redone}/{total} units"
+
+
+#: Bytes per bot at the larger population over the smaller one.
+LINEARITY_CEILING = 1.2
+
+
+def _durable_wal_bytes(workdir: Path, bots: int) -> int:
+    workdir.mkdir()
+    config = PipelineConfig(
+        n_bots=bots,
+        seed=1,
+        honeypot_sample_size=100,
+        stream=True,
+        checkpoint_path=str(workdir / "checkpoint.json"),
+        journal_path=str(workdir / "journal.wal"),
+    )
+    AssessmentPipeline(config).run()
+    size = (workdir / "journal.wal").stat().st_size
+    print(f"bots={bots:5d} wal={size / 2**20:.2f} MiB ({size / bots / 1024:.2f} KiB/bot)")
+    return size
+
+
+def test_wal_grows_linearly_with_the_population(tmp_path) -> None:
+    small, large = 500, 2_000
+    per_bot_small = _durable_wal_bytes(tmp_path / "small", small) / small
+    per_bot_large = _durable_wal_bytes(tmp_path / "large", large) / large
+    print(f"bytes/bot ratio={per_bot_large / per_bot_small:.2f} (ceiling {LINEARITY_CEILING})")
+    assert per_bot_large <= per_bot_small * LINEARITY_CEILING, (
+        f"WAL bytes per bot {per_bot_large:.0f} at {large} bots vs {per_bot_small:.0f} at {small}"
+    )

@@ -14,12 +14,16 @@ Two acceptance bars from the storage-chaos work:
    operation consults the fault plan, none injects) must cost < 5%
    wall-clock over the same run with no shim at 10^4 bots.  The consult
    is two dict operations; anything above the bar means the shim crept
-   onto a hot path it doesn't belong on.
+   onto a hot path it doesn't belong on.  One pair of runs cannot
+   resolve 5% on a shared machine, so the gate runs alternating
+   bare/calm pairs (which side goes first alternates too) and holds the
+   *median* per-pair ratio to the bar.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -35,6 +39,8 @@ JOURNAL_RECORDS = int(os.environ.get("REPRO_BENCH_STORAGE_RECORDS", 20_000))
 #: is meaningful on hosts where the whole run finishes in seconds.
 TAX_CEILING = 0.05
 TAX_FLOOR_SECONDS = 0.25
+#: Alternating bare/calm pairs behind the median ratio.
+TAX_PAIRS = 3
 
 
 def _journal_wall(path: Path, fsync_every: int) -> float:
@@ -63,7 +69,9 @@ def test_batched_fsync_cadence_is_never_slower(tmp_path) -> None:
     assert explicit <= per_record * 1.25 + 0.1
 
 
-def _pipeline_wall(tmp_path: Path, shim: bool) -> float:
+def _pipeline_wall(workdir: Path, shim: bool) -> float:
+    """Wall time of one fresh streamed + checkpointed + journaled run."""
+    workdir.mkdir(parents=True)
     config = PipelineConfig(
         n_bots=STORAGE_BENCH_SCALE,
         seed=13,
@@ -71,8 +79,8 @@ def _pipeline_wall(tmp_path: Path, shim: bool) -> float:
         validation_sample_size=20,
         stream=True,
         chunk_size=2_048,
-        checkpoint_path=str(tmp_path / f"ckpt-{shim}.json"),
-        journal_path=str(tmp_path / f"journal-{shim}.wal"),
+        checkpoint_path=str(workdir / "ckpt.json"),
+        journal_path=str(workdir / "journal.wal"),
     )
     if shim:
         install_disk_chaos("calm", seed=0)
@@ -89,10 +97,22 @@ def _pipeline_wall(tmp_path: Path, shim: bool) -> float:
 
 
 def test_storage_tax_under_five_percent(tmp_path) -> None:
-    baseline = _pipeline_wall(tmp_path, shim=False)
-    shimmed = _pipeline_wall(tmp_path, shim=True)
-    ceiling = max(baseline * (1.0 + TAX_CEILING), baseline + TAX_FLOOR_SECONDS)
-    print(f"storage tax={(shimmed / baseline - 1.0) * 100:+.1f}% (ceiling {TAX_CEILING * 100:.0f}%)")
-    assert shimmed <= ceiling, (
-        f"calm-shimmed pipeline took {shimmed:.3f}s vs {baseline:.3f}s bare"
+    bare_walls: list[float] = []
+    ratios: list[float] = []
+    for pair in range(TAX_PAIRS):
+        # Alternate which side runs first, so drift in the machine's speed
+        # over a pair does not always land on the same side.
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        walls = {shim: _pipeline_wall(tmp_path / f"pair{pair}-{'calm' if shim else 'bare'}", shim) for shim in order}
+        bare_walls.append(walls[False])
+        ratios.append(walls[True] / walls[False])
+        print(f"pair {pair + 1}: bare={walls[False]:.3f}s calm={walls[True]:.3f}s "
+              f"tax={(ratios[-1] - 1.0) * 100:+.1f}%")
+    median = statistics.median(ratios)
+    ceiling = max(1.0 + TAX_CEILING, 1.0 + TAX_FLOOR_SECONDS / statistics.median(bare_walls))
+    print(f"storage tax median={(median - 1.0) * 100:+.1f}% over {TAX_PAIRS} pairs "
+          f"(ceiling {(ceiling - 1.0) * 100:.1f}%)")
+    assert median <= ceiling, (
+        f"calm-shimmed pipeline costs a median {(median - 1.0) * 100:+.1f}% over bare "
+        f"across {TAX_PAIRS} alternating pairs"
     )

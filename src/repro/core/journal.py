@@ -23,8 +23,12 @@ Each unit record carries two things:
 1. the unit's *result* (a serialized verdict / analysis / page of bots);
 2. the *world-state delta* the unit caused — virtual clock, RNG streams,
    chaos schedule, circuit breakers, captcha accounts, server-side
-   middleware — captured by :class:`UnitTracker` with diff suppression
-   (only components that changed since the previous record are stored).
+   middleware — captured by :class:`UnitTracker`, which stores only what
+   the unit touched: the keys of small components whose value changed,
+   the keys keyed containers (hosts, breakers, robots, cookies) report as
+   touched, and an RNG whose 624 words did not move as its position
+   alone.  A record therefore costs O(what the unit touched), not
+   O(world), and the journal grows linearly with the population.
 
 Replaying a record therefore both re-emits the unit's result *and*
 fast-forwards the simulation to the exact state it held after that unit, so
@@ -41,7 +45,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.core.crashpoints import crashpoint
 from repro.core.resilience import FaultLedger, FaultRecord
@@ -114,38 +118,41 @@ class WriteAheadJournal:
         self.fsync_every = fsync_every
         self._file = DurableAppendFile(self.path, label="journal", fsync_every=fsync_every)
         self._truncated = False
-        scanned, self._valid_bytes, dropped = self._scan()
-        self._next_seq = len(scanned) + 1
+        _, valid, self._valid_bytes, dropped = self._scan(None)
+        self._next_seq = valid + 1
         if dropped:
             self.stats.discarded += dropped
-            self.discard_detail = (
-                f"discarded {dropped} invalid trailing record(s) after seq {len(scanned)}"
-            )
+            self.discard_detail = f"discarded {dropped} invalid trailing record(s) after seq {valid}"
 
     # -- reading -----------------------------------------------------------
 
-    def _scan(self) -> tuple[list[JournalRecord], int, int]:
+    def _scan(self, stage: str | None) -> tuple[list[JournalRecord], int, int, int]:
+        """Verify the file line by line; keep only ``stage``'s records.
+
+        Returns ``(kept, valid, valid_bytes, dropped)``: the valid prefix's
+        records of ``stage`` (none for ``None``), its record count and byte
+        length, and the non-blank lines after it.  Memory stays bounded by
+        one line plus the kept records, whatever the file's size.
+        """
+        kept: list[JournalRecord] = []
+        valid = valid_bytes = dropped = 0
         try:
-            raw = self.path.read_bytes()
+            stream = open(self.path, "rb")
         except FileNotFoundError:
-            return [], 0, 0
-        records: list[JournalRecord] = []
-        valid_bytes = 0
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                break  # unterminated line: a torn append — stop here
-            line = raw[offset:newline]
-            record = self._decode(line, expected_seq=len(records) + 1)
-            if record is None:
-                break
-            records.append(record)
-            offset = newline + 1
-            valid_bytes = offset
-        remainder = raw[valid_bytes:]
-        dropped = sum(1 for piece in remainder.split(b"\n") if piece.strip())
-        return records, valid_bytes, dropped
+            return kept, 0, 0, 0
+        with stream:
+            for line in stream:
+                # An unterminated line is a torn append: stop there.
+                record = self._decode(line[:-1], expected_seq=valid + 1) if line.endswith(b"\n") else None
+                if record is None:
+                    dropped = 1 if line.strip() else 0
+                    dropped += sum(1 for rest in stream if rest.strip())
+                    break
+                valid += 1
+                valid_bytes += len(line)
+                if record.stage == stage:
+                    kept.append(record)
+        return kept, valid, valid_bytes, dropped
 
     @staticmethod
     def _decode(line: bytes, expected_seq: int) -> JournalRecord | None:
@@ -175,11 +182,11 @@ class WriteAheadJournal:
         Scans the file on demand rather than keeping an in-RAM copy of
         every append: replay happens once per stage open while appends
         happen per unit, so the scan cost lands on the rare path and the
-        hot path stays O(1) memory over a million-bot run.
+        hot path stays O(1) memory over a million-bot run.  The scan keeps
+        only ``stage``'s records, verifying every other record on the way.
         """
         self._file.flush()
-        records, _, _ = self._scan()
-        return [record for record in records if record.stage == stage]
+        return self._scan(stage)[0]
 
     # -- writing -----------------------------------------------------------
 
@@ -226,18 +233,56 @@ class WriteAheadJournal:
 # World-state capture
 # ---------------------------------------------------------------------------
 
-#: Component name -> (capture, restore) factories over the tracked objects.
-_Component = tuple[Callable[[], dict], Callable[[dict], None]]
+#: Words in a Mersenne-Twister state; ``rng_state`` appends the position.
+_MT_WORDS = 624
+#: What a record stores in place of an RNG state whose words and gauss
+#: value match the last recorded ones: ``{"rng_pos": <position>}``.
+_RNG_POSITION = "rng_pos"
+
+
+def _is_rng_state(value: Any) -> bool:
+    """Whether ``value`` is a :func:`~repro.web.network.rng_state` list."""
+    return type(value) is list and len(value) == 3 and type(value[1]) is list and len(value[1]) == _MT_WORDS + 1
+
+
+def _same_words(last: list, state: list) -> bool:
+    """Whether two RNG states differ at most in their position."""
+    return last[0] == state[0] and last[2] == state[2] and last[1][:_MT_WORDS] == state[1][:_MT_WORDS]
+
+
+@dataclass
+class _Component:
+    """One tracked component.
+
+    A small component's ``capture()`` returns its whole state, which
+    records diff key by key.  A keyed container's ``capture(keys)`` returns
+    the state of those keys, and ``touched()`` drains the keys it changed.
+    """
+
+    capture: Callable[..., dict]
+    restore: Callable[[dict], None]
+    touched: Callable[[], Iterable[str]] | None = None
 
 
 class UnitTracker:
     """Captures the world-state delta one unit of stage work produces.
 
-    Absolute components (RNG streams, breaker states, middleware counters…)
-    are diff-suppressed: a unit's record stores only the components whose
-    canonical serialization changed since the previous record.  Append-only
-    components (captcha solve history, fault ledger, quarantine log) are
-    stored as the records appended during the unit.
+    Only what the unit touched is stored:
+
+    - *small components* (the internet's transport state, chaos schedule,
+      retry budget, captcha account, scraper counters) are diffed key by
+      key against what the tracker last recorded;
+    - *keyed containers* (per-host server state, circuit breakers, the
+      scraper's robots cache and cookie jar) report the keys their
+      mutators touched since the last unit, and only those are stored;
+    - an RNG state anywhere in either is stored as its position alone
+      (``{"rng_pos": n}``) when its 624 words and gauss value equal the
+      last recorded ones, and whole otherwise.
+
+    Replay merges per key, so whole-state records (the format before this
+    scheme) replay too.  Append-only components (captcha solve history,
+    fault ledger, quarantine log) are stored as the records appended
+    during the unit.
     """
 
     def __init__(
@@ -261,21 +306,84 @@ class UnitTracker:
         chaos = getattr(internet, "chaos", None)
         if chaos is not None:
             self._register("chaos", chaos.state_dict, chaos.restore_state)
-        self._register("hosts", lambda: _hosts_state(internet), lambda state: _restore_hosts(internet, state))
+        self._register_keyed(
+            "hosts", internet, lambda keys: _hosts_state(internet, keys), lambda state: _restore_hosts(internet, state)
+        )
         if breakers is not None:
-            self._register("breakers", breakers.state_dict, breakers.restore_state)
+            self._register_keyed("breakers", breakers, breakers.state_dict, breakers.restore_state)
         if budget is not None:
             self._register("budget", budget.state_dict, budget.restore_state)
         if solver is not None:
             self._register("solver", solver.state_dict, solver.restore_state)
         if scraper is not None:
             self._register("scraper", scraper.state_dict, scraper.restore_state)
-        self._last: dict[str, str] = {name: _canonical(capture()) for name, (capture, _) in self._components.items()}
+            for name, jar in (("robots", scraper.robots), ("cookies", scraper.cookies)):
+                self._register_keyed(name, jar, jar.state_dict, jar.restore_state)
+        #: Path -> the last recorded whole state of the RNG found there.
+        self._rngs: dict[tuple, list] = {}
+        #: Small component -> key -> canonical JSON of its last recorded
+        #: value, RNG states written as positions.
+        self._last: dict[str, dict[str, str]] = {
+            name: {key: self._blob(name, key, value) for key, value in component.capture().items()}
+            for name, component in self._components.items()
+            if component.touched is None
+        }
         self._marks: dict[str, int] = {}
         self.begin_unit()
 
     def _register(self, name: str, capture: Callable[[], dict], restore: Callable[[dict], None]) -> None:
-        self._components[name] = (capture, restore)
+        self._components[name] = _Component(capture, restore)
+
+    def _register_keyed(self, name: str, container, capture: Callable, restore: Callable[[dict], None]) -> None:
+        if not hasattr(container, "track_touches"):
+            # A container that cannot name its touched keys is diffed like a small one.
+            self._register(name, lambda: capture(None), restore)
+            return
+        container.track_touches()
+        self._components[name] = _Component(capture, restore, container.drain_touched)
+
+    # -- RNG states as positions --------------------------------------------
+
+    def _pack(self, value: Any, path: tuple) -> tuple[Any, bool]:
+        """``value`` with each RNG state whose words match the last recorded
+        state at its path written as its position; True if one stays whole."""
+        if type(value) is dict:
+            packed: dict = {}
+            whole = False
+            for key, item in value.items():
+                packed[key], kept = self._pack(item, path + (key,))
+                whole = whole or kept
+            return packed, whole
+        if _is_rng_state(value):
+            last = self._rngs.get(path)
+            self._rngs[path] = value
+            if last is not None and _same_words(last, value):
+                return {_RNG_POSITION: value[1][_MT_WORDS]}, False
+            return value, True
+        return value, False
+
+    def _unpack(self, value: Any, path: tuple) -> Any:
+        """Invert :meth:`_pack` against the RNG states recorded so far."""
+        if type(value) is dict:
+            if len(value) == 1 and _RNG_POSITION in value:
+                last = self._rngs[path]
+                value = [last[0], last[1][:_MT_WORDS] + [value[_RNG_POSITION]], last[2]]
+                self._rngs[path] = value
+                return value
+            return {key: self._unpack(item, path + (key,)) for key, item in value.items()}
+        if _is_rng_state(value):
+            self._rngs[path] = value
+        return value
+
+    def _blob(self, name: str, key: str, value: Any) -> str:
+        """What a small component's key is diffed by: canonical JSON with
+        every RNG state (now the last recorded one) as its position."""
+        packed, whole = self._pack(value, (name, key))
+        if whole:  # those RNG states are the last recorded ones now
+            packed = self._pack(value, (name, key))[0]
+        return _canonical(packed)
+
+    # -- units ----------------------------------------------------------------
 
     def begin_unit(self) -> None:
         """Mark the append-only components before a live unit runs.
@@ -304,15 +412,27 @@ class UnitTracker:
             if solves:
                 body["solves"] = [vars(record).copy() for record in solves]
         changed: dict[str, dict] = {}
-        for name, (capture, _) in self._components.items():
-            state = capture()
-            blob = _canonical(state)
-            if self._last.get(name) != blob:
-                changed[name] = state
-                self._last[name] = blob
+        for name, component in self._components.items():
+            delta = self._delta(name, component)
+            if delta:
+                changed[name] = delta
         if changed:
             body["state"] = changed
         return body
+
+    def _delta(self, name: str, component: _Component) -> dict:
+        if component.touched is not None:
+            state = component.capture(component.touched())
+            return {key: self._pack(value, (name, key))[0] for key, value in state.items()}
+        last = self._last[name]
+        delta: dict[str, Any] = {}
+        for key, value in component.capture().items():
+            packed, whole = self._pack(value, (name, key))
+            blob = self._blob(name, key, value) if whole else _canonical(packed)
+            if whole or last.get(key) != blob:
+                delta[key] = packed
+                last[key] = blob
+        return delta
 
     def apply(self, body: dict) -> None:
         """Fast-forward the world through one replayed unit."""
@@ -324,11 +444,23 @@ class UnitTracker:
         if self._solver is not None:
             for payload in body.get("solves", ()):
                 self._solver.history.append(SolveRecord(**payload))
-        for name, state in body.get("state", {}).items():
-            entry = self._components.get(name)
-            if entry is not None:
-                entry[1](state)
-                self._last[name] = _canonical(state)
+        for name, delta in body.get("state", {}).items():
+            component = self._components.get(name)
+            if component is None:
+                continue
+            values = {key: self._unpack(value, (name, key)) for key, value in delta.items()}
+            if component.touched is not None:
+                component.restore(values)
+                continue
+            state = component.capture()
+            state.update(values)
+            component.restore(state)
+            last = self._last[name]
+            for key, value in values.items():
+                last[key] = self._blob(name, key, value)
+        for component in self._components.values():
+            if component.touched is not None:
+                component.touched()  # the restores' touches are recorded already
         self.begin_unit()
 
 
@@ -425,9 +557,12 @@ def restore_world_state(clock, internet, solver, breakers, payload: dict) -> Non
         chaos.restore_state(payload["chaos"])
 
 
-def _hosts_state(internet) -> dict:
+def _hosts_state(internet, hostnames: Iterable[str] | None = None) -> dict:
+    """Every registered host's state, or that of ``hostnames`` still registered."""
     states: dict[str, dict] = {}
-    for hostname in internet.hostnames():
+    for hostname in internet.hostnames() if hostnames is None else hostnames:
+        if hostnames is not None and not internet.knows(hostname):
+            continue  # a resolver-built host evicted since it was touched
         state = internet.host(hostname).state_dict()
         if state:
             states[hostname] = state

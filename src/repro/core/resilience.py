@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.web.network import NetworkError, VirtualClock
+from repro.web.network import NetworkError, TouchedKeys, VirtualClock
 
 
 class CircuitOpenError(NetworkError):
@@ -136,8 +136,11 @@ class CircuitBreaker:
         self.short_circuits = state["short_circuits"]
 
 
-class CircuitBreakerRegistry:
-    """Per-host breakers, shared by every scraper in a pipeline run."""
+class CircuitBreakerRegistry(TouchedKeys):
+    """Per-host breakers, shared by every scraper in a pipeline run.
+
+    Its touched keys are the hosts whose breaker was created or changed.
+    """
 
     def __init__(
         self,
@@ -163,24 +166,39 @@ class CircuitBreakerRegistry:
                 half_open_successes=self.half_open_successes,
             )
             self._breakers[key] = found
+            if self._touched is not None:
+                self._touched.add(key)
         return found
 
     def check(self, host: str) -> None:
-        self.breaker(host).check(host)
+        breaker = self.breaker(host)
+        # Only an open breaker changes on a check (half-open or short-circuit).
+        if self._touched is not None and breaker.state is CircuitState.OPEN:
+            self._touched.add(host.lower())
+        breaker.check(host)
 
     def record_success(self, host: str) -> None:
-        self.breaker(host).record_success()
+        breaker = self.breaker(host)
+        if self._touched is not None and (breaker.state is CircuitState.HALF_OPEN or breaker._consecutive_failures):
+            self._touched.add(host.lower())
+        breaker.record_success()
 
     def record_failure(self, host: str) -> None:
+        if self._touched is not None:
+            self._touched.add(host.lower())
         self.breaker(host).record_failure()
 
     def open_hosts(self) -> list[str]:
         return sorted(host for host, breaker in self._breakers.items() if breaker.state is CircuitState.OPEN)
 
-    def state_dict(self) -> dict:
-        return {host: breaker.state_dict() for host, breaker in self._breakers.items()}
+    def state_dict(self, keys=None) -> dict:
+        """Every breaker's state, or only those of the hosts in ``keys``."""
+        if keys is None:
+            return {host: breaker.state_dict() for host, breaker in self._breakers.items()}
+        return {host: self._breakers[host].state_dict() for host in keys if host in self._breakers}
 
     def restore_state(self, state: dict) -> None:
+        """Restore the breakers in ``state``; others keep theirs."""
         for host, payload in state.items():
             self.breaker(host).restore_state(payload)
 

@@ -114,33 +114,39 @@ class PoliteScraper:
         self._rng = random.Random(self.config.seed)
         from repro.scraper.robots import RobotsCache
 
-        self._robots = RobotsCache()
+        self.robots = RobotsCache()
+
+    @property
+    def cookies(self):
+        """The browser's :class:`~repro.web.client.CookieJar`."""
+        return self.browser.client.cookies
 
     # -- resume support --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Order-coupled scraper state (think-time RNG, stats, robots,
-        cookies) for journal capture.  The solver and breakers are shared
-        objects captured separately by the tracker."""
+        """Order-coupled scraper state (think-time RNG, stats, counters) for
+        journal capture.  The keyed :attr:`robots` and :attr:`cookies`
+        containers, the solver and the breakers are captured separately by
+        the tracker."""
         from repro.web.network import rng_state
 
         return {
             "rng": rng_state(self._rng),
             "stats": vars(self.stats).copy(),
-            "robots": self._robots.state_dict(),
-            "cookies": self.browser.client.cookies.state_dict(),
             "requests_sent": self.browser.client.requests_sent,
             "generation": self.browser._generation,
         }
 
     def restore_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict`; journal records written before robots
+        and cookies were captured apart also carry those two, whole."""
         from repro.web.network import restore_rng
 
         restore_rng(self._rng, state["rng"])
         for name, value in state["stats"].items():
             setattr(self.stats, name, value)  # in place: CrawlResult may hold a reference
-        self._robots.restore_state(state["robots"])
-        self.browser.client.cookies.restore_state(state["cookies"])
+        self.robots.restore_state(state.get("robots", {}))
+        self.cookies.restore_state(state.get("cookies", {}))
         self.browser.client.requests_sent = state["requests_sent"]
         self.browser._generation = state["generation"]
 
@@ -163,7 +169,7 @@ class PoliteScraper:
             self._await_circuit(host)
         extra_delay = 0.0
         if self.config.respect_robots and parsed.is_absolute:
-            policy = self._robots.policy_for(self.browser.client, host)
+            policy = self.robots.policy_for(self.browser.client, host)
             if not policy.allows(parsed.path):
                 raise RobotsDisallowedError(f"robots.txt disallows {parsed.path} on {host}")
             extra_delay = policy.crawl_delay

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.web.network import TouchedKeys
+
 
 @dataclass
 class RobotsPolicy:
@@ -54,30 +56,34 @@ def parse_robots_txt(body: str) -> RobotsPolicy:
 
 
 @dataclass
-class RobotsCache:
-    """Per-host robots policies, fetched lazily through an HTTP client."""
+class RobotsCache(TouchedKeys):
+    """Per-host robots policies, fetched lazily through an HTTP client.
+
+    Its touched keys are the hosts whose policy was cached.
+    """
 
     _policies: dict[str, RobotsPolicy] = field(default_factory=dict)
 
-    def state_dict(self) -> dict:
+    def state_dict(self, keys=None) -> dict:
+        """Every cached policy, or only those of the hosts in ``keys``."""
+        hosts = self._policies if keys is None else [host for host in keys if host in self._policies]
         return {
             host: {
-                "crawl_delay": policy.crawl_delay,
-                "disallowed": list(policy.disallowed_prefixes),
-                "fetched": policy.fetched,
+                "crawl_delay": self._policies[host].crawl_delay,
+                "disallowed": list(self._policies[host].disallowed_prefixes),
+                "fetched": self._policies[host].fetched,
             }
-            for host, policy in self._policies.items()
+            for host in hosts
         }
 
     def restore_state(self, state: dict) -> None:
-        self._policies = {
-            host: RobotsPolicy(
+        """Restore the policies in ``state``; other hosts keep theirs."""
+        for host, payload in state.items():
+            self._policies[host] = RobotsPolicy(
                 crawl_delay=payload["crawl_delay"],
                 disallowed_prefixes=tuple(payload["disallowed"]),
                 fetched=payload["fetched"],
             )
-            for host, payload in state.items()
-        }
 
     def policy_for(self, client, host: str) -> RobotsPolicy:
         """Return (fetching once if needed) the policy for ``host``."""
@@ -93,4 +99,6 @@ class RobotsCache:
         else:
             policy = parse_robots_txt(response.body) if response.ok else RobotsPolicy(fetched=True)
         self._policies[host] = policy
+        if self._touched is not None:
+            self._touched.add(host)
         return policy

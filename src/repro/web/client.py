@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.web.http import Headers, Request, Response, Url
-from repro.web.network import ConnectionFailedError, NetworkError, VirtualInternet
+from repro.web.network import ConnectionFailedError, NetworkError, TouchedKeys, VirtualInternet
 
 
 class RequestTimeoutError(NetworkError):
@@ -33,15 +33,18 @@ class TooManyRedirectsError(NetworkError):
 
 
 @dataclass
-class CookieJar:
-    """Per-host cookie storage (name -> value)."""
+class CookieJar(TouchedKeys):
+    """Per-host cookie storage (name -> value).
+
+    Its touched keys are the hosts whose cookies were set.
+    """
 
     _cookies: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def store(self, host: str, set_cookie: str) -> None:
         name, _, value = set_cookie.split(";")[0].partition("=")
         if name:
-            self._cookies.setdefault(host, {})[name.strip()] = value.strip()
+            self.set(host, name.strip(), value.strip())
 
     def header_for(self, host: str) -> str:
         cookies = self._cookies.get(host, {})
@@ -52,15 +55,18 @@ class CookieJar:
 
     def set(self, host: str, name: str, value: str) -> None:
         self._cookies.setdefault(host, {})[name] = value
+        if self._touched is not None:
+            self._touched.add(host)
 
-    def clear(self) -> None:
-        self._cookies.clear()
-
-    def state_dict(self) -> dict:
-        return {host: dict(cookies) for host, cookies in self._cookies.items()}
+    def state_dict(self, keys=None) -> dict:
+        """Every host's cookies, or only those of the hosts in ``keys``."""
+        hosts = self._cookies if keys is None else [host for host in keys if host in self._cookies]
+        return {host: dict(self._cookies[host]) for host in hosts}
 
     def restore_state(self, state: dict) -> None:
-        self._cookies = {host: dict(cookies) for host, cookies in state.items()}
+        """Restore the hosts in ``state``; other hosts keep their cookies."""
+        for host, cookies in state.items():
+            self._cookies[host] = dict(cookies)
 
 
 class HttpClient:

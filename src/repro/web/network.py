@@ -34,6 +34,28 @@ def restore_rng(rng: random.Random, state: list) -> None:
     rng.setstate((state[0], tuple(state[1]), state[2]))
 
 
+class TouchedKeys:
+    """A keyed container that can name the keys it changed.
+
+    While a journal tracker watches the container (:meth:`track_touches`),
+    every mutator adds the key it changed to ``_touched``; the tracker
+    drains the set after each unit of work and records only those keys.
+    Unwatched, ``_touched`` is ``None`` and a mutation costs one branch.
+    """
+
+    _touched: set[str] | None = None
+
+    def track_touches(self) -> None:
+        """Start (or restart) collecting touched keys."""
+        self._touched = set()
+
+    def drain_touched(self) -> set[str]:
+        """The keys touched since the last drain; collection continues."""
+        touched = self._touched or set()
+        self._touched = set()
+        return touched
+
+
 class NetworkError(Exception):
     """Base class for transport-level failures."""
 
@@ -149,12 +171,13 @@ class _HostEntry:
     conditions: HostConditions = field(default_factory=HostConditions)
 
 
-class VirtualInternet:
+class VirtualInternet(TouchedKeys):
     """Routes requests to registered hosts under simulated conditions.
 
     The ethics note in the paper (crawl "at a rate that does not create any
     disruption") is auditable here: :attr:`log` records every exchange with
-    its simulated timestamp.
+    its simulated timestamp.  Its touched keys are the hostnames whose
+    host handled a request.
     """
 
     #: Default bound on the exchange log (chaos benches generate millions of
@@ -313,6 +336,8 @@ class VirtualInternet:
                 self._record_failure(request, latency, error)
                 raise
         if response is None:
+            if self._touched is not None:
+                self._touched.add(hostname)
             response = entry.host.handle(request, self)
             if self.chaos is not None:
                 response = self.chaos.mangle(request, response, self.clock.now())
