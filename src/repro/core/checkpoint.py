@@ -1,20 +1,17 @@
 """Full-pipeline checkpointing: stage-granular snapshot and resume.
 
-Generalises the crawl-only :mod:`repro.scraper.checkpoint` to the whole
-assessment: after every completed stage (crawl, traceability, code,
-honeypot) the pipeline snapshots that stage's raw output plus the fault
-ledger so far.  A killed run resumes from the last completed stage instead
-of re-crawling the world; aggregates are recomputed from the restored raw
-outputs, so a resumed run reports the same statistics as an uninterrupted
-one.
+After every completed stage (crawl, traceability, code, honeypot) the
+pipeline snapshots that stage's raw output plus the fault ledger so far.
+A killed run resumes from the last completed stage instead of re-crawling
+the world; aggregates are recomputed from the restored raw outputs, so a
+resumed run reports the same statistics as an uninterrupted one.
 
-Integrity: every save embeds a sha256 checksum of the whole payload plus
-one per stage.  :meth:`PipelineCheckpoint.load` refuses silently-corrupted
-files (:class:`CheckpointCorruptionError`);
-:meth:`PipelineCheckpoint.load_or_empty` *never* crashes on a bad file —
-it sidelines it to ``<name>.corrupt``, salvages every stage that still
-round-trips against its own checksum, and records the recovery in the
-ledger so the resumed run stays honest about what it lost.
+Integrity: every save embeds a sha256 checksum of the whole payload, and
+:meth:`PipelineCheckpoint.load` refuses a file that does not verify
+(:class:`CheckpointCorruptionError`).  A damaged checkpoint is never
+partially trusted: :meth:`repro.core.storage.RecoveryManager.scrub_pipeline_checkpoint`
+quarantines it whole and the run redoes the campaign, replaying the
+write-ahead journal where one exists.
 """
 
 from __future__ import annotations
@@ -30,15 +27,14 @@ from repro.codeanalysis.analyzer import RepoAnalysis
 from repro.codeanalysis.patterns import PatternHit
 from repro.core.crashpoints import crashpoint
 from repro.core.resilience import FaultLedger
-from repro.core.storage import ArtifactCorruptionError, atomic_write_json, discard_stale_tmp
+from repro.core.storage import ArtifactCorruptionError, atomic_write_json
 from repro.core.supervision import QuarantineLog
 from repro.honeypot.console import TriggerRecord
 from repro.honeypot.experiment import BotTestOutcome, HoneypotReport
 from repro.honeypot.tokens import TokenKind
 from repro.core.spill import SpillList
 from repro.scraper.base import ScrapeStats
-from repro.scraper.checkpoint import scraped_bot_from_dict, scraped_bot_to_dict
-from repro.scraper.topgg import CrawlResult
+from repro.scraper.topgg import CrawlResult, scraped_bot_from_dict, scraped_bot_to_dict
 from repro.traceability.analyzer import TraceabilityClass, TraceabilityResult
 from repro.traceability.validation import ValidationCase, ValidationReport
 
@@ -66,101 +62,11 @@ class CheckpointCorruptionError(ArtifactCorruptionError):
 # -- integrity helpers -------------------------------------------------------
 
 
-def _canonical_digest(value: Any) -> str:
-    """sha256 over the canonical (sorted-keys) JSON form of ``value``."""
-    return hashlib.sha256(json.dumps(value, sort_keys=True).encode("utf-8")).hexdigest()
-
-
 def _payload_checksum(payload: dict) -> str:
-    """Whole-file checksum: everything except the checksum field itself."""
-    return _canonical_digest({key: value for key, value in payload.items() if key != "checksum"})
-
-
-def _complete_truncated_json(text: str) -> str | None:
-    """Best-effort completion of a tail-truncated JSON document.
-
-    Scans the text once, tracking string/escape state and the open
-    object/array frames; cuts at the last position where a *complete*
-    value had just ended and appends the matching closers.  Returns the
-    repaired document, or None when nothing parseable survives.  Numbers
-    and bare literals are never treated as safe cut points (a truncated
-    ``12.5e3`` still looks like a prefix), so recovery is conservative.
-    """
-    start = text.find("{")
-    if start == -1:
-        return None
-    frames: list[list[str]] = []  # [kind, expect]; kind: "obj" | "arr"
-    in_string = False
-    escape = False
-    last_safe = -1
-    last_closers = ""
-
-    def note_value_end(position: int) -> None:
-        nonlocal last_safe, last_closers
-        last_safe = position + 1
-        last_closers = "".join("}" if frame[0] == "obj" else "]" for frame in reversed(frames))
-
-    index = start
-    while index < len(text):
-        char = text[index]
-        if in_string:
-            if escape:
-                escape = False
-            elif char == "\\":
-                escape = True
-            elif char == '"':
-                in_string = False
-                if frames:
-                    frame = frames[-1]
-                    if frame[0] == "obj" and frame[1] == "key":
-                        frame[1] = "colon"
-                    else:
-                        frame[1] = "comma"
-                        note_value_end(index)
-        elif char == '"':
-            in_string = True
-            escape = False
-        elif char == "{":
-            frames.append(["obj", "key"])
-        elif char == "[":
-            frames.append(["arr", "value"])
-        elif char in "}]":
-            if not frames:
-                return None
-            frames.pop()
-            note_value_end(index)
-            if frames:
-                frames[-1][1] = "comma"
-        elif char == ":":
-            if frames and frames[-1][0] == "obj":
-                frames[-1][1] = "value"
-        elif char == ",":
-            if frames:
-                frames[-1][1] = "key" if frames[-1][0] == "obj" else "value"
-        index += 1
-    if last_safe <= start:
-        return None
-    candidate = text[start:last_safe] + last_closers
-    try:
-        json.loads(candidate)
-    except json.JSONDecodeError:
-        return None
-    return candidate
-
-
-def _decode_lenient(text: str) -> Any:
-    """Parse ``text`` as JSON, repairing tail truncation when possible."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    repaired = _complete_truncated_json(text)
-    if repaired is None:
-        return None
-    try:
-        return json.loads(repaired)
-    except json.JSONDecodeError:
-        return None
+    """Whole-file checksum: sha256 over the canonical (sorted-keys) JSON of
+    everything except the checksum field itself."""
+    scrubbed = {key: value for key, value in payload.items() if key != "checksum"}
+    return hashlib.sha256(json.dumps(scrubbed, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 # -- per-type serializers ----------------------------------------------------
@@ -454,13 +360,9 @@ class PipelineCheckpoint:
     # -- persistence ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        # Small metadata (checksums included) is serialized *before* the
-        # large ``stages`` payload, so a tail-truncated file usually keeps
-        # the per-stage checksums salvage needs to validate what survived.
         payload: dict[str, Any] = {
             "version": PIPELINE_CHECKPOINT_VERSION,
             "checksum": "",
-            "stage_checksums": {stage: _canonical_digest(entry) for stage, entry in self.stages.items()},
             "stage_status": self.stage_status,
             "ledger": self.ledger.to_dict(),
             "metrics": self.metrics,
@@ -485,6 +387,12 @@ class PipelineCheckpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineCheckpoint":
+        """Read and verify a checkpoint; raise on any damage.
+
+        Keys this version does not read (such as the ``stage_checksums``
+        earlier writers embedded) are covered by the whole-document
+        checksum and otherwise ignored.
+        """
         text = Path(path).read_text()
         try:
             payload = json.loads(text)
@@ -506,90 +414,6 @@ class PipelineCheckpoint:
             quarantines=QuarantineLog.from_dict(payload.get("quarantines", {})),
             world_state=dict(payload.get("world_state", {})),
         )
-
-    @classmethod
-    def load_or_empty(cls, path: str | Path) -> "PipelineCheckpoint":
-        """Load a checkpoint; on any corruption, salvage instead of crashing.
-
-        A file that fails to parse or verify is renamed to
-        ``<name>.corrupt`` (preserved for post-mortem), every stage payload
-        that still round-trips against its own checksum is recovered, and
-        the loss is recorded in the returned checkpoint's ledger.  The
-        worst corrupt file costs re-running the unsalvageable stages —
-        never the whole campaign, and never a crash.
-        """
-        target = Path(path)
-        # A crash between write and rename leaves a stale write sidecar
-        # behind; it is never authoritative, so clear it here rather than
-        # letting it accumulate forever.
-        discard_stale_tmp(target)
-        if not target.exists():
-            return cls()
-        try:
-            return cls.load(target)
-        except Exception as error:
-            return cls._salvage(target, error)
-
-    @classmethod
-    def _salvage(cls, target: Path, error: Exception) -> "PipelineCheckpoint":
-        try:
-            # A file truncated mid-multibyte-character (or overwritten with
-            # binary garbage) is not valid UTF-8; decode leniently so the
-            # salvage path itself can never raise.
-            text = target.read_bytes().decode("utf-8", errors="replace")
-        except OSError:
-            text = ""
-        sidecar = target.with_name(target.name + ".corrupt")
-        try:
-            target.replace(sidecar)
-        except OSError:
-            logger.warning("could not sideline corrupt checkpoint %s", target)
-        recovered = cls()
-        payload = _decode_lenient(text)
-        if isinstance(payload, dict):
-            try:
-                recovered.ledger = FaultLedger.from_dict(payload.get("ledger", {}))
-            except Exception:
-                recovered.ledger = FaultLedger()
-            try:
-                recovered.quarantines = QuarantineLog.from_dict(payload.get("quarantines", {}))
-            except Exception:
-                recovered.quarantines = QuarantineLog()
-            checksums = payload.get("stage_checksums")
-            checksums = checksums if isinstance(checksums, dict) else {}
-            stages = payload.get("stages")
-            stages = stages if isinstance(stages, dict) else {}
-            for stage, entry in stages.items():
-                if stage not in STAGES:
-                    continue
-                expected = checksums.get(stage)
-                if expected is not None and _canonical_digest(entry) != expected:
-                    continue  # stage payload itself was damaged
-                if not cls._stage_round_trips(stage, entry):
-                    continue
-                recovered.stages[stage] = entry
-            status = payload.get("stage_status")
-            if isinstance(status, dict):
-                recovered.stage_status = {
-                    stage: value for stage, value in status.items() if stage in recovered.stages
-                }
-            metrics = payload.get("metrics")
-            if isinstance(metrics, dict):
-                recovered.metrics = {
-                    stage: entry for stage, entry in metrics.items() if stage in recovered.stages
-                }
-        kept = ", ".join(recovered.completed_stages) or "none"
-        recovered.ledger.record(
-            "checkpoint",
-            "<local>",
-            error,
-            0.0,
-            detail=f"corrupt checkpoint sidelined to {sidecar.name}; stages recovered: {kept}",
-        )
-        logger.warning(
-            "corrupt checkpoint %s sidelined to %s (stages recovered: %s)", target, sidecar, kept
-        )
-        return recovered
 
     @classmethod
     def _stage_round_trips(cls, stage: str, entry: dict) -> bool:

@@ -69,7 +69,7 @@ from repro.ecosystem.generator import InviteStatus
 from repro.ecosystem.generator import Ecosystem, EcosystemConfig, generate_ecosystem
 from repro.honeypot.experiment import HoneypotExperiment, HoneypotReport
 from repro.scraper.github import GitHubScraper
-from repro.scraper.topgg import ScrapedBot, TopGGScraper
+from repro.scraper.topgg import ScrapedBot, TopGGScraper, scraped_bot_from_dict, scraped_bot_to_dict
 from repro.scraper.website import PolicyFetchResult, WebsiteScraper
 from repro.sites.botwebsites import BotWebsiteBuilder
 from repro.sites.discordweb import DiscordWebsite
@@ -459,8 +459,6 @@ class AssessmentPipeline:
         recorder = self._recorder(STAGE_CRAWL, self.lane, self._main_journal(), scraper)
         bots_store = None
         if self.config.stream:
-            from repro.scraper.checkpoint import scraped_bot_from_dict, scraped_bot_to_dict
-
             bots_store = self._stage_results(STAGE_CRAWL, scraped_bot_to_dict, scraped_bot_from_dict)
         crawl = scraper.crawl(
             max_pages=self.config.max_pages,
@@ -903,9 +901,9 @@ class AssessmentPipeline:
             self.quarantines.extend(checkpoint.quarantines)
             # Re-enter the simulation exactly where the saving run left it
             # (after ``started_virtual``/``spent_before`` were captured, so
-            # whole-campaign deltas match an uninterrupted run's).  A
-            # salvaged checkpoint carries no world state: stages then re-run
-            # from the fresh world, as before world capture existed.
+            # whole-campaign deltas match an uninterrupted run's).  An empty
+            # checkpoint (a fresh run, or one the scrub reset) carries no
+            # world state, and every stage runs from the fresh world.
             if checkpoint.world_state:
                 self._restore_all_worlds(checkpoint.world_state)
         self._main_journal()

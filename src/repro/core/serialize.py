@@ -138,6 +138,8 @@ def result_to_dict(result: PipelineResult, include_bots: bool = False) -> dict[s
 
 
 #: Ledger stages describing *this process's* recovery, not the campaign.
+#: Nothing records ``checkpoint`` any more, but ledgers inside checkpoints
+#: saved by earlier versions can still carry it.
 _PROVENANCE_STAGES = ("journal", "checkpoint", "storage")
 
 

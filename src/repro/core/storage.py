@@ -1,19 +1,19 @@
 """Unified durable I/O with seeded storage-fault injection and scrub-on-load recovery.
 
 Every durable artifact the system writes — the pipeline checkpoint, the
-write-ahead journal, streamed spill files, the crawl checkpoint pair, the
-serving verdict-cache snapshot — used to hand-roll its own
-write/fsync/rename sequence, and every one of those sequences silently
-assumed a *perfect disk*.  The crash matrix proves the system survives
-``SIGKILL``; nothing proved it survives ``ENOSPC``, ``EIO``, a short
-write, an fsync that lies, or a byte that rots after the fact.
+write-ahead journal, streamed spill files, the serving verdict-cache
+snapshot — used to hand-roll its own write/fsync/rename sequence, and
+every one of those sequences silently assumed a *perfect disk*.  The
+crash matrix proves the system survives ``SIGKILL``; nothing proved it
+survives ``ENOSPC``, ``EIO``, a short write, an fsync that lies, or a
+byte that rots after the fact.
 
 This module closes that gap three ways:
 
 1. **One durable-I/O abstraction.**  :func:`atomic_write_json` (the
    write-fsync-rename snapshot protocol) and :class:`DurableAppendFile`
    (the append-fsync log protocol, with a configurable fsync cadence) are
-   the only two ways bytes become durable.  All five writers route through
+   the only two ways bytes become durable.  All four writers route through
    them, so a durability bug is fixed in exactly one place — enforced by a
    grep lint test that forbids ``os.fsync`` and ``.tmp`` handling outside
    this file.
@@ -33,7 +33,7 @@ This module closes that gap three ways:
    ``.corrupt`` sidecars, and records every detection and repair in the
    :class:`~repro.core.resilience.FaultLedger` under the reserved stage
    name ``storage`` (stripped by ``comparable_result``, like ``journal``
-   and ``checkpoint`` provenance).
+   provenance).
 
 The contract the disk-fault matrix (``tests/test_disk_fault_matrix.py``)
 asserts on top: under any single injected storage fault, a run either
@@ -103,8 +103,6 @@ STORAGE_ARTIFACTS: dict[str, tuple[str, ...]] = {
     "checkpoint": ("write", "fsync", "rename", "settle"),  # pipeline snapshot
     "journal": ("write", "fsync", "settle"),  # write-ahead unit log
     "spill": ("write", "fsync", "settle"),  # streamed accumulators
-    "crawl.meta": ("write", "fsync", "rename", "settle"),  # crawl cursor doc
-    "crawl.bots": ("write", "fsync", "settle"),  # crawl bot sidecar
     "serving.state": ("write", "fsync", "rename", "settle"),  # verdict cache
 }
 
@@ -600,6 +598,9 @@ class ScrubAction:
     action: str
 
 
+_CHECKPOINT_RESET = "checkpoint reset — campaign redone from scratch (journal replay repairs what it can)"
+
+
 class RecoveryManager:
     """Verify durable artifacts before a process trusts them.
 
@@ -626,16 +627,23 @@ class RecoveryManager:
             )
         logger.warning("storage scrub: %s %s: %s; %s", artifact, path, problem, action)
 
+    def _quarantine(self, artifact: str, path: Path, problem: str, consequence: str) -> None:
+        """Sideline a damaged artifact whole to ``.corrupt`` and note it."""
+        sidecar = quarantine_artifact(path)
+        where = f"quarantined to {sidecar.name}" if sidecar is not None else "left in place"
+        self.note(artifact, path, problem, f"{where}; {consequence}")
+
     # -- pipeline checkpoint ----------------------------------------------
 
     def scrub_pipeline_checkpoint(self, path: str | Path):
         """Load the pipeline checkpoint, trusting it only if *whole*.
 
-        ``load_or_empty`` already salvages what it can from a damaged
-        file; this pass goes further and demands a mutually consistent
-        artifact set, because a resumed run must be **byte-identical** to
-        an uninterrupted one:
+        A resumed run must be **byte-identical** to an uninterrupted one, so
+        the checkpoint is all-or-nothing:
 
+        - a file that does not load (unreadable, torn, checksum mismatch,
+          unknown version) is quarantined whole to ``<name>.corrupt`` —
+          none of its stages, ledger or quarantine records are trusted;
         - every stored stage payload must round-trip into real objects
           (spill references verified against the files on disk);
         - stages may only be trusted together with the world snapshot
@@ -652,7 +660,15 @@ class RecoveryManager:
         """
         from repro.core.checkpoint import PipelineCheckpoint
 
-        checkpoint = PipelineCheckpoint.load_or_empty(path)
+        target = Path(path)
+        discard_stale_tmp(target)
+        if not target.exists():
+            return PipelineCheckpoint()
+        try:
+            checkpoint = PipelineCheckpoint.load(target)
+        except (OSError, ValueError) as error:
+            self._quarantine("checkpoint", target, f"unloadable: {error}", _CHECKPOINT_RESET)
+            return PipelineCheckpoint()
         if not checkpoint.stages:
             return checkpoint
         damaged: list[tuple[str, str]] = []
@@ -666,12 +682,7 @@ class RecoveryManager:
         if not damaged:
             return checkpoint
         problems = "; ".join(f"{stage}: {why}" for stage, why in damaged)
-        self.note(
-            "checkpoint",
-            path,
-            problems,
-            "checkpoint reset — campaign redone from scratch (journal replay repairs what it can)",
-        )
+        self.note("checkpoint", target, problems, _CHECKPOINT_RESET)
         return PipelineCheckpoint()
 
     @staticmethod
@@ -716,7 +727,5 @@ class RecoveryManager:
                 problem = "checksum mismatch: file corrupted on disk"
         if not problem:
             return payload
-        sidecar = quarantine_artifact(target)
-        where = f"quarantined to {sidecar.name}" if sidecar is not None else "left in place"
-        self.note(artifact, target, problem, f"{where}; rebuilding cold")
+        self._quarantine(artifact, target, problem, "rebuilding cold")
         return None

@@ -72,6 +72,44 @@ class ScrapedBot:
         return self.permission_status.is_valid
 
 
+def scraped_bot_to_dict(bot: ScrapedBot) -> dict:
+    return {
+        "listing_id": bot.listing_id,
+        "name": bot.name,
+        "developer_tag": bot.developer_tag,
+        "tags": list(bot.tags),
+        "description": bot.description,
+        "guild_count": bot.guild_count,
+        "votes": bot.votes,
+        "invite_url": bot.invite_url,
+        "website_url": bot.website_url,
+        "github_url": bot.github_url,
+        "built_with": bot.built_with,
+        "permission_status": bot.permission_status.value,
+        "permission_names": list(bot.permission_names),
+        "scope_names": list(bot.scope_names),
+    }
+
+
+def scraped_bot_from_dict(payload: dict) -> ScrapedBot:
+    return ScrapedBot(
+        listing_id=payload["listing_id"],
+        name=payload["name"],
+        developer_tag=payload["developer_tag"],
+        tags=tuple(payload["tags"]),
+        description=payload["description"],
+        guild_count=payload["guild_count"],
+        votes=payload["votes"],
+        invite_url=payload["invite_url"],
+        website_url=payload["website_url"],
+        github_url=payload["github_url"],
+        built_with=payload["built_with"],
+        permission_status=PermissionStatus(payload["permission_status"]),
+        permission_names=tuple(payload["permission_names"]),
+        scope_names=tuple(payload.get("scope_names", ())),
+    )
+
+
 class ActiveBots:
     """Lazy ``has_valid_permissions`` filter over a spilled bot sequence.
 
@@ -122,15 +160,11 @@ class TopGGScraper(PoliteScraper):
         self,
         max_pages: int | None = None,
         resolve_permissions: bool = True,
-        checkpoint_path: str | None = None,
         on_fault: CrawlFaultSink | None = None,
         recorder=None,
         bots: list | None = None,
     ) -> CrawlResult:
         """Traverse the top list; optionally resolve invite permissions.
-
-        With ``checkpoint_path``, progress is persisted after every page and
-        an interrupted crawl resumes from the last completed page.
 
         With ``on_fault``, the crawl degrades instead of crashing: a bot
         whose detail page dies is skipped (reported with ``bots_skipped=1``),
@@ -147,9 +181,7 @@ class TopGGScraper(PoliteScraper):
         against the replayed world state.
         """
         from repro.core.crashpoints import crashpoint
-        from repro.scraper.checkpoint import scraped_bot_from_dict, scraped_bot_to_dict
 
-        checkpoint = None
         result = CrawlResult()
         if bots is not None:
             # Caller-provided accumulator (a disk spill for streamed runs);
@@ -157,14 +189,6 @@ class TopGGScraper(PoliteScraper):
             result.bots = bots
         page_number = 1
         known: set[int] = set()
-        if checkpoint_path is not None:
-            from repro.scraper.checkpoint import CrawlCheckpoint
-
-            checkpoint = CrawlCheckpoint.load_or_empty(checkpoint_path)
-            result.bots.extend(checkpoint.bots)
-            result.pages_traversed = len(checkpoint.completed_pages)
-            page_number = checkpoint.next_page
-            known = {bot.listing_id for bot in checkpoint.bots}
         while True:
             if max_pages is not None and page_number > max_pages:
                 break
@@ -175,9 +199,6 @@ class TopGGScraper(PoliteScraper):
                     result.bots.extend(page_bots)
                     known.update(bot.listing_id for bot in page_bots)
                     result.pages_traversed += payload["traversed"]
-                    if checkpoint is not None and checkpoint_path is not None:
-                        checkpoint.record_page(page_number, page_bots)
-                        checkpoint.save(checkpoint_path)
                     page_number += 1
                     continue
                 recorder.begin_unit()
@@ -212,8 +233,8 @@ class TopGGScraper(PoliteScraper):
             aborted = False
             for listing_id in listing_ids:
                 if listing_id in known:
-                    # Already recorded (overlapping resume, or a listing
-                    # shift re-serving a bot on a later page).
+                    # Already collected: a live listing can re-serve a bot
+                    # on a later page (its rank shifted mid-crawl).
                     continue
                 try:
                     bot = self.scrape_bot(listing_id)
@@ -237,9 +258,6 @@ class TopGGScraper(PoliteScraper):
                 page_bots.append(bot)
                 known.add(bot.listing_id)
             result.bots.extend(page_bots)
-            if checkpoint is not None and checkpoint_path is not None:
-                checkpoint.record_page(page_number, page_bots)
-                checkpoint.save(checkpoint_path)
             if aborted:
                 # Terminal iteration: not journaled; a resume re-executes it
                 # against the replayed world and aborts identically.

@@ -1,13 +1,14 @@
-"""Checkpoint integrity: corruption detection, salvage, and honest resume.
+"""Checkpoint integrity: corruption detection, whole-file quarantine, honest resume.
 
 The robustness contract under test: a checkpoint file that was corrupted on
-disk (bit-flip, tail truncation, partial write) must never crash
-``load_or_empty`` — the bad file is sidelined to ``<name>.corrupt``, every
-stage that still verifies against its own checksum is recovered, the loss
-is recorded in the fault ledger, and a resumed run completes with the same
-statistics an uninterrupted run produces.
+disk (bit-flip, tail truncation, partial write) must never crash the
+scrub-on-load pass — the bad file is quarantined whole to
+``<name>.corrupt``, nothing in it (stages, ledger, quarantines) is
+trusted, the detection is recorded under the ``storage`` provenance stage,
+and the rerun completes with the same result an uninterrupted run produces.
 """
 
+import hashlib
 import json
 import logging
 from collections import Counter
@@ -21,17 +22,43 @@ from repro.core.checkpoint import (
     STAGE_TRACEABILITY,
     CheckpointCorruptionError,
     PipelineCheckpoint,
-    _complete_truncated_json,
+    _payload_checksum,
     _scrape_stats_from_dict,
 )
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AssessmentPipeline
+from repro.core.resilience import FaultLedger
+from repro.core.serialize import comparable_result, result_to_dict
+from repro.core.storage import RecoveryManager
 
 
 def _config(**overrides) -> PipelineConfig:
     defaults = dict(n_bots=60, seed=3, honeypot_sample_size=10, validation_sample_size=20)
     defaults.update(overrides)
     return PipelineConfig(**defaults)
+
+
+#: The crash matrix's base config: under hostile chaos with two planted
+#: adversaries the run absorbs faults and quarantines bots, so a checkpoint
+#: that leaked its records into a rerun would show.
+CHAOS_CONFIG = dict(
+    n_bots=48,
+    seed=7,
+    honeypot_sample_size=8,
+    validation_sample_size=10,
+    chaos_profile="hostile",
+    chaos_seed=1,
+    adversarial_bots=2,
+)
+
+
+def _comparable(config: PipelineConfig) -> str:
+    return json.dumps(comparable_result(result_to_dict(AssessmentPipeline(config).run())), sort_keys=True)
+
+
+def _scrub(target):
+    ledger = FaultLedger()
+    return RecoveryManager(ledger).scrub_pipeline_checkpoint(target), ledger
 
 
 def _statistics(result) -> dict:
@@ -86,41 +113,54 @@ class TestChecksumVerification:
         with pytest.raises(CheckpointCorruptionError):
             PipelineCheckpoint.load(target)
 
+    def test_payload_with_stage_checksums_still_loads(self, finished_run, tmp_path):
+        """Earlier writers embedded per-stage digests; their files still load."""
+        _, blob = finished_run
+        payload = json.loads(blob)
+        payload["stage_checksums"] = {
+            stage: hashlib.sha256(json.dumps(entry, sort_keys=True).encode("utf-8")).hexdigest()
+            for stage, entry in payload["stages"].items()
+        }
+        payload["checksum"] = _payload_checksum(payload)
+        target = tmp_path / "pipeline.json"
+        target.write_text(json.dumps(payload))
+        checkpoint = PipelineCheckpoint.load(target)
+        assert checkpoint.stages == json.loads(blob)["stages"]
 
-class TestSalvage:
-    def test_edited_stage_dropped_others_recovered(self, finished_run, tmp_path):
+
+class TestScrub:
+    def test_edited_stage_quarantines_the_whole_file(self, finished_run, tmp_path):
         _, blob = finished_run
         payload = json.loads(blob)
         payload["stages"][STAGE_CRAWL]["pages_traversed"] += 1
         target = tmp_path / "pipeline.json"
         target.write_text(json.dumps(payload))
 
-        recovered = PipelineCheckpoint.load_or_empty(target)
-        # The damaged stage fails its own checksum; the intact ones survive.
-        assert STAGE_CRAWL not in recovered.stages
-        assert recovered.completed_stages == [STAGE_TRACEABILITY, STAGE_CODE, STAGE_HONEYPOT]
+        recovered, ledger = _scrub(target)
+        # The intact stages are not salvaged either: the file is trusted
+        # whole or not at all, and the journal redoes what it held.
+        assert recovered.completed_stages == []
         assert not target.exists()
         assert (tmp_path / "pipeline.json.corrupt").exists()
-        recovery = [record for record in recovered.ledger.records if record.stage == "checkpoint"]
-        assert len(recovery) == 1
-        assert "pipeline.json.corrupt" in recovery[0].detail
-        assert "stages recovered" in recovery[0].detail
+        assert [record.stage for record in ledger.records] == ["storage"]
+        assert "checksum mismatch" in ledger.records[0].detail
+        assert "pipeline.json.corrupt" in ledger.records[0].detail
 
     def test_unreadable_garbage_yields_empty_checkpoint(self, tmp_path):
         target = tmp_path / "pipeline.json"
         target.write_bytes(b"\x00\xffnot json at all")
-        recovered = PipelineCheckpoint.load_or_empty(target)
+        recovered, ledger = _scrub(target)
         assert recovered.completed_stages == []
         assert (tmp_path / "pipeline.json.corrupt").exists()
-        assert recovered.ledger.records[0].stage == "checkpoint"
+        assert [record.stage for record in ledger.records] == ["storage"]
 
     def test_missing_file_is_a_plain_fresh_checkpoint(self, tmp_path):
-        recovered = PipelineCheckpoint.load_or_empty(tmp_path / "absent.json")
+        recovered, ledger = _scrub(tmp_path / "absent.json")
         assert recovered.completed_stages == []
-        assert len(recovered.ledger) == 0  # nothing was lost, nothing recorded
+        assert len(ledger) == 0  # nothing was lost, nothing recorded
 
     def test_truncation_at_any_byte_offset_never_crashes(self, finished_run, tmp_path):
-        """Sweep truncation points across the whole file, including tiny ones."""
+        """Sweep truncation points across a full run's file, including tiny ones."""
         _, blob = finished_run
         size = len(blob)
         offsets = sorted({1, 2, 10, 100, *range(size // 40, size, size // 40)})
@@ -129,22 +169,12 @@ class TestSalvage:
             workdir.mkdir()
             target = workdir / "pipeline.json"
             target.write_bytes(blob[:offset])
-            recovered = PipelineCheckpoint.load_or_empty(target)  # must never raise
-            assert not target.exists()
-            assert (workdir / "pipeline.json.corrupt").exists()
-            assert any(record.stage == "checkpoint" for record in recovered.ledger.records)
-            # Whatever survived must be genuinely restorable.
-            for stage in recovered.completed_stages:
-                assert PipelineCheckpoint._stage_round_trips(stage, recovered.stages[stage])
-
-    def test_late_truncation_recovers_early_stages(self, finished_run, tmp_path):
-        # Stage checksums are written before the big stages blob, so a cut
-        # near the end of the file should still salvage the leading stages.
-        _, blob = finished_run
-        target = tmp_path / "pipeline.json"
-        target.write_bytes(blob[: int(len(blob) * 0.9)])
-        recovered = PipelineCheckpoint.load_or_empty(target)
-        assert STAGE_CRAWL in recovered.stages
+            recovered, ledger = _scrub(target)  # must never raise
+            assert not target.exists(), f"cut at byte {offset}"
+            assert (workdir / "pipeline.json.corrupt").exists(), f"cut at byte {offset}"
+            assert recovered.completed_stages == [], f"cut at byte {offset}"
+            assert len(recovered.ledger) == 0 and len(recovered.quarantines) == 0, f"cut at byte {offset}"
+            assert [record.stage for record in ledger.records] == ["storage"], f"cut at byte {offset}"
 
 
 class TestResumeAfterCorruption:
@@ -156,15 +186,16 @@ class TestResumeAfterCorruption:
         resumed = AssessmentPipeline(_config(checkpoint_path=str(path))).run()
         assert _statistics(resumed) == _statistics(reference)
         assert (tmp_path / "pipeline.json.corrupt").exists()
-        # The run is honest about the loss: the salvage landed in the ledger.
-        recovery = [r for r in resumed.fault_ledger.records if r.stage == "checkpoint"]
+        # The run is honest about the loss: the quarantine landed in the
+        # ledger under the storage provenance stage.
+        recovery = [r for r in resumed.fault_ledger.records if r.stage == "storage"]
         assert len(recovery) == 1
 
     def test_hopelessly_truncated_checkpoint_yields_fresh_run(self, finished_run, tmp_path):
         """Regression: a near-empty checkpoint file must never crash the run."""
         reference, blob = finished_run
         path = tmp_path / "pipeline.json"
-        path.write_bytes(blob[:40])  # nothing salvageable survives
+        path.write_bytes(blob[:40])  # torn down to its first bytes
 
         result = AssessmentPipeline(_config(checkpoint_path=str(path))).run()
         # Every stage re-ran from scratch, none resumed.
@@ -174,26 +205,30 @@ class TestResumeAfterCorruption:
         # The rewritten checkpoint is whole again and verifies.
         assert PipelineCheckpoint.load(path).completed_stages
 
+    @pytest.mark.parametrize(
+        "mode", [{}, {"stream": True, "chunk_size": 16}], ids=["materialized", "streamed"]
+    )
+    def test_half_checkpoint_reruns_without_the_dead_runs_records(self, mode, tmp_path):
+        """Regression: a torn checkpoint must not leak its faults into the rerun.
 
-class TestTruncatedJsonRepair:
-    def test_cuts_back_to_last_complete_value(self):
-        text = '{"a": "x", "b": [1, 2], "c": {"d": "y", "e": "zzz'
-        assert json.loads(_complete_truncated_json(text)) == {"a": "x", "b": [1, 2], "c": {"d": "y"}}
-
-    def test_numbers_are_never_safe_cut_points(self):
-        # "12" could be a prefix of 12.5e3; conservative repair refuses it.
-        assert _complete_truncated_json('{"a": 12') is None
-
-    def test_no_object_at_all(self):
-        assert _complete_truncated_json("totally not json") is None
-
-    def test_complete_document_round_trips(self):
-        text = json.dumps({"a": [1, 2], "b": {"c": "d"}})
-        assert json.loads(_complete_truncated_json(text)) == json.loads(text)
-
-    def test_escaped_quotes_do_not_confuse_the_scanner(self):
-        text = '{"a": "he said \\"hi\\"", "b": "tail that got cu'
-        assert json.loads(_complete_truncated_json(text)) == {"a": 'he said "hi"'}
+        Cut to half its bytes, the checkpoint yields no stage.  The rerun
+        redoes the campaign, replaying the journal, and must match the first
+        run exactly: the torn file's ledger and quarantine records may not
+        be added to the ones the rerun earns again.
+        """
+        config = PipelineConfig(
+            **CHAOS_CONFIG,
+            **mode,
+            checkpoint_path=str(tmp_path / "ckpt.json"),
+            journal_path=str(tmp_path / "journal.wal"),
+        )
+        golden = _comparable(config)
+        assert json.loads(golden)["quarantine"]["count"] > 0  # records a leak would double
+        checkpoint = tmp_path / "ckpt.json"
+        blob = checkpoint.read_bytes()
+        checkpoint.write_bytes(blob[: len(blob) // 2])
+        assert _comparable(config) == golden
+        assert (tmp_path / "ckpt.json.corrupt").exists()
 
 
 class TestScrapeStatsCompat:

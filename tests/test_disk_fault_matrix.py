@@ -13,9 +13,10 @@ and never, in any cell, produces a silently wrong result.
 
 Pipeline-owned artifacts (checkpoint / journal / spill) run through the
 same subprocess driver as the crash matrix — in-process faults would leak
-shim state into the recovery run.  The crawl checkpoint pair and the
-serving state snapshot are exercised in-process against their own golden
-reloads.
+shim state into the recovery run.  The serving state snapshot is exercised
+in-process against its own golden reload.  Those two scenarios reach every
+registered artifact, and a sentinel keeps it that way: an artifact no
+scenario writes would register cells that test nothing.
 
 ``DISK_MATRIX_BOTS=N`` scales the pipeline scenario up (the CI
 disk-fault-smoke job runs N=2000 under hostile *network* chaos as well) on
@@ -36,6 +37,7 @@ import repro
 from repro.core.storage import (
     ENV_DISK_FAULT,
     ENV_DISK_RECORD,
+    STORAGE_ARTIFACTS,
     STORAGE_EXIT_CODE,
     OneShotFault,
     StorageError,
@@ -131,6 +133,11 @@ def golden(tmp_path_factory) -> tuple[bytes, set[str]]:
     return (workdir / "out.json").read_bytes(), consulted
 
 
+def test_every_storage_artifact_has_a_matrix_scenario() -> None:
+    """Each registered artifact is one a scenario below writes."""
+    assert set(STORAGE_ARTIFACTS) == set(PIPELINE_ARTIFACTS) | {"serving.state"}
+
+
 def test_scenario_consults_every_pipeline_site(golden) -> None:
     """A site the scenario never reaches is a hole in the matrix, not a pass."""
     _, consulted = golden
@@ -163,60 +170,6 @@ def test_single_fault_is_golden_or_typed_then_recovers(site, kind, golden, tmp_p
     assert resumed.returncode == 0, f"{site}:{kind}: recovery run failed:\n{resumed.stderr}"
     assert (tmp_path / "out.json").read_bytes() == golden_bytes, (
         f"{site}:{kind}: recovery diverged from golden"
-    )
-
-
-# -- crawl checkpoint pair (in-process) --------------------------------------
-
-
-def _crawl_bots():
-    from tests.test_torn_tail_fuzz import _bot
-
-    return [_bot(index) for index in range(1, 6)]
-
-
-def _record_crawl(path: Path) -> None:
-    """The reference crawl: two pages across two saves."""
-    from repro.scraper.checkpoint import CrawlCheckpoint
-
-    bots = _crawl_bots()
-    checkpoint = CrawlCheckpoint.load_or_empty(path)
-    if 1 not in checkpoint.completed_pages:
-        checkpoint.record_page(1, bots[:3])
-        checkpoint.save(path)
-    if 2 not in checkpoint.completed_pages:
-        checkpoint.record_page(2, bots[3:])
-        checkpoint.save(path)
-
-
-def _crawl_cells() -> list[tuple[str, str]]:
-    return [
-        (site, kind)
-        for site, kind in matrix_cells()
-        if site.rsplit(".", 1)[0] in ("crawl.meta", "crawl.bots")
-    ]
-
-
-@pytest.mark.parametrize("site,kind", _crawl_cells())
-def test_crawl_checkpoint_fault_matrix(site, kind, tmp_path) -> None:
-    from repro.scraper.checkpoint import CrawlCheckpoint
-
-    golden_ids = [bot.listing_id for bot in _crawl_bots()]
-    path = tmp_path / "crawl.ckpt"
-    install_faults(OneShotFault(site, kind))
-    try:
-        _record_crawl(path)
-    except StorageError:
-        pass  # loud and typed: the crawl loop would retry the page
-    finally:
-        uninstall_faults()
-    # Recovery: resume the crawl over whatever landed, then reload.
-    _record_crawl(path)
-    loaded = CrawlCheckpoint.load_or_empty(path)
-    missing = [page for page in (1, 2) if page not in loaded.completed_pages]
-    assert not missing, f"{site}:{kind}: recovery left pages {missing} uncrawled"
-    assert [bot.listing_id for bot in loaded.bots] == golden_ids, (
-        f"{site}:{kind}: recovered crawl diverged"
     )
 
 

@@ -5,14 +5,19 @@ import collections
 import pytest
 
 from repro.botstore.host import StoreDefenses, build_store_host
+from repro.core.journal import StageRecorder, UnitTracker, WriteAheadJournal
+from repro.core.resilience import FaultLedger
+from repro.core.supervision import QuarantineLog
 from repro.ecosystem.generator import EcosystemConfig, InviteStatus, generate_ecosystem
 from repro.scraper import GitHubScraper, PermissionStatus, TopGGScraper, WebsiteScraper, try_locators
 from repro.scraper.base import ScraperConfig
+from repro.scraper.topgg import TOPGG_BASE, scraped_bot_from_dict, scraped_bot_to_dict
 from repro.sites.botwebsites import BotWebsiteBuilder
 from repro.sites.discordweb import DiscordWebsite
 from repro.sites.github import GitHubSite
 from repro.web.browser import By, WebDriverException
 from repro.web.captcha import TwoCaptchaClient
+from repro.web.network import VirtualClock, VirtualInternet
 
 
 @pytest.fixture(scope="module")
@@ -20,14 +25,17 @@ def eco():
     return generate_ecosystem(EcosystemConfig(n_bots=150, seed=21, honeypot_window=30))
 
 
-@pytest.fixture
-def world(eco, internet, clock):
+def _register_sites(eco, internet, clock) -> TwoCaptchaClient:
     build_store_host(eco, internet, StoreDefenses(captcha_every=100, captcha_clearance=100))
     DiscordWebsite(eco).register(internet)
     GitHubSite(eco).register(internet)
     BotWebsiteBuilder(eco).register(internet)
-    solver = TwoCaptchaClient(clock, accuracy=1.0, seed=2)
-    return eco, internet, solver
+    return TwoCaptchaClient(clock, accuracy=1.0, seed=2)
+
+
+@pytest.fixture
+def world(eco, internet, clock):
+    return eco, internet, _register_sites(eco, internet, clock)
 
 
 class TestTopGGScraper:
@@ -103,6 +111,129 @@ class TestTopGGScraper:
         scraper.crawl(max_pages=1, resolve_permissions=False)
         # 26 fetches (1 list + 25 details) with >= 1s pacing each.
         assert clock.now() - start >= 26.0
+
+
+class TestScrapedBotCodec:
+    def test_bot_roundtrip(self, world):
+        eco, internet, solver = world
+        scraper = TopGGScraper(internet, solver=solver)
+        result = scraper.crawl(max_pages=1)
+        original = result.bots[0]
+        restored = scraped_bot_from_dict(scraped_bot_to_dict(original))
+        assert restored == original
+
+
+def _journaled_crawl(eco, wal, **crawl_args):
+    """One crawl session in a fresh world, as a new process would run it,
+    whose pages commit to the WAL at ``wal``.
+
+    Returns the result, the list page numbers the session fetched live,
+    and the session's scraper (for its fetch counters).
+    """
+    clock = VirtualClock()
+    internet = VirtualInternet(clock, seed=7)
+    solver = _register_sites(eco, internet, clock)
+    scraper = TopGGScraper(internet, solver=solver)
+    fetched: list[int] = []
+    inner = scraper._scrape_list_page
+
+    def spy(page_number):
+        fetched.append(page_number)
+        return inner(page_number)
+
+    scraper._scrape_list_page = spy
+    ledger = FaultLedger()
+    tracker = UnitTracker(clock, internet, ledger, QuarantineLog(), solver=solver, scraper=scraper)
+    journal = WriteAheadJournal(wal)
+    try:
+        result = scraper.crawl(recorder=StageRecorder(journal, "crawl", tracker, ledger), **crawl_args)
+    finally:
+        journal.close()
+    return result, fetched, scraper
+
+
+class TestJournaledResume:
+    """An interrupted crawl resumes from the write-ahead journal's page records."""
+
+    def test_resumed_crawl_matches_uninterrupted(self, world, tmp_path):
+        eco, internet, solver = world
+        control = TopGGScraper(internet, solver=solver).crawl()
+        wal = tmp_path / "crawl.wal"
+
+        partial, _, _ = _journaled_crawl(eco, wal, max_pages=2)
+        assert len(partial.bots) == 50
+        resumed, _, _ = _journaled_crawl(eco, wal)
+        # Replayed bots carry everything the crawl resolved, permissions included.
+        assert resumed.bots == control.bots
+        assert resumed.pages_traversed == control.pages_traversed
+
+    def test_resumed_crawl_refetches_no_journaled_page(self, eco, tmp_path):
+        wal = tmp_path / "crawl.wal"
+        _journaled_crawl(eco, wal, max_pages=3, resolve_permissions=False)
+        resumed, fetched, _ = _journaled_crawl(eco, wal, resolve_permissions=False)
+        assert len(resumed.bots) == len(eco.bots)
+        assert fetched and not {1, 2, 3} & set(fetched), f"re-fetched journaled pages: {fetched}"
+
+    def test_resume_skips_journaled_pages(self, eco, tmp_path):
+        """Neither a journaled list page nor its detail pages is fetched again."""
+        wal = tmp_path / "crawl.wal"
+        partial, _, _ = _journaled_crawl(eco, wal, max_pages=3, resolve_permissions=False)
+        _, _, scraper = _journaled_crawl(eco, wal, resolve_permissions=False)
+        # The session's exchange log, not its fetch counters (those replay
+        # with the journal): 3 remaining list pages + their 75 details
+        # (+1 final 404 page).
+        live = {record.url for record in scraper.internet.log}
+        assert len(scraper.internet.log) <= 3 * 26 + 1
+        assert not live & {f"{TOPGG_BASE}/bot/{bot.listing_id}" for bot in partial.bots}
+
+    def test_resume_preserves_permissions(self, eco, tmp_path):
+        wal = tmp_path / "crawl.wal"
+        _journaled_crawl(eco, wal, max_pages=1)
+        replayed, fetched, _ = _journaled_crawl(eco, wal, max_pages=1)
+        assert fetched == []  # the page came from the journal alone
+        truth = {bot.name: bot for bot in eco.bots}
+        valid = [bot for bot in replayed.bots if bot.has_valid_permissions]
+        assert valid
+        for bot in valid:
+            assert bot.permissions == truth[bot.name].permissions
+
+    def test_torn_final_page_record_is_recrawled_once(self, world, tmp_path):
+        """A page whose record was torn off the WAL tail re-executes, and
+        its bots appear once, not once per session."""
+        eco, internet, solver = world
+        control = TopGGScraper(internet, solver=solver).crawl(resolve_permissions=False)
+        wal = tmp_path / "crawl.wal"
+        _journaled_crawl(eco, wal, max_pages=2, resolve_permissions=False)
+        wal.write_bytes(wal.read_bytes()[:-5])
+
+        resumed, fetched, _ = _journaled_crawl(eco, wal, resolve_permissions=False)
+        assert fetched[0] == 2
+        assert resumed.bots == control.bots
+        assert resumed.pages_traversed == control.pages_traversed
+
+
+class TestListingDedup:
+    def test_reserved_listing_yields_bot_once(self, world):
+        """A live listing can re-serve a bot on a later page (its rank
+        shifted mid-crawl); the crawl keeps one entry per listing id."""
+        eco, internet, solver = world
+        scraper = TopGGScraper(internet, solver=solver)
+        inner = scraper._scrape_list_page
+        first_page: list[int] = []
+
+        def shifted(page_number):
+            ids = inner(page_number)
+            if page_number == 1:
+                first_page.extend(ids)
+            elif page_number == 2:
+                ids = [first_page[0], *ids]  # page 1's first bot, served again
+            return ids
+
+        scraper._scrape_list_page = shifted
+        result = scraper.crawl(max_pages=2, resolve_permissions=False)
+        ids = [bot.listing_id for bot in result.bots]
+        assert len(ids) == len(set(ids)) == 50
+        assert ids.count(first_page[0]) == 1
 
 
 class TestRateLimitRecovery:

@@ -405,16 +405,14 @@ def test_scrub_pipeline_checkpoint_trusts_a_whole_artifact_set(tmp_path):
 
 def test_error_taxonomy_keeps_legacy_catches_working():
     from repro.core.checkpoint import CheckpointCorruptionError as PipelineCorruption
-    from repro.scraper.checkpoint import CheckpointCorruptionError as CrawlCorruption
 
     assert issubclass(DiskFullError, OSError)
     assert issubclass(DiskIOError, OSError)
     assert issubclass(ArtifactCorruptionError, ValueError)
-    for error in (DiskFullError, DiskIOError, ArtifactCorruptionError, PipelineCorruption, CrawlCorruption):
+    for error in (DiskFullError, DiskIOError, ArtifactCorruptionError, PipelineCorruption):
         assert issubclass(error, StorageError)
-    # Pre-existing `except ValueError` salvage paths still catch corruption.
+    # The scrub's `except (OSError, ValueError)` catches checkpoint corruption.
     assert issubclass(PipelineCorruption, ValueError)
-    assert issubclass(CrawlCorruption, ValueError)
 
 
 # -- serving state persistence -----------------------------------------------

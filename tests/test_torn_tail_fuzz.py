@@ -4,44 +4,24 @@ A crash (or a lying disk cache) can cut an append-only file anywhere
 inside its final record, and an atomic snapshot can be tail-truncated by
 the faults the storage shim injects.  For each artifact this suite cuts
 the file at every byte boundary of the damage window and asserts the
-recovery contract: the loader salvages the **maximal valid prefix** or
-raises a typed corruption error — it never yields garbage records and
-never crashes the resume path.
+recovery contract: an append log's loader salvages the **maximal valid
+prefix** or raises a typed corruption error, and the pipeline checkpoint
+is trusted whole or quarantined whole — never garbage records, never a
+crash on the resume path.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.core.checkpoint import PipelineCheckpoint
 from repro.core.journal import WriteAheadJournal
+from repro.core.resilience import FaultLedger
 from repro.core.spill import SpillList
-from repro.core.storage import ArtifactCorruptionError
+from repro.core.storage import ArtifactCorruptionError, RecoveryManager
 from repro.honeypot.experiment import HoneypotReport
-from repro.scraper.checkpoint import CrawlCheckpoint, sidecar_path
-from repro.scraper.topgg import PermissionStatus, ScrapedBot
-
-
-def _bot(index: int) -> ScrapedBot:
-    return ScrapedBot(
-        listing_id=index,
-        name=f"bot-{index}",
-        developer_tag=f"dev#{index:04d}",
-        tags=("moderation",),
-        description="x" * (index % 7),
-        guild_count=10 * index,
-        votes=index,
-        invite_url=f"https://discord.com/oauth2?client_id={index}",
-        website_url=None,
-        github_url=None,
-        built_with=None,
-        permission_status=PermissionStatus.VALID,
-        permission_names=("VIEW_CHANNEL",),
-        scope_names=("bot",),
-    )
 
 
 def _truncated_copy(source: Path, cut: int, destination: Path) -> Path:
@@ -150,58 +130,6 @@ def test_spill_mid_file_damage_raises_typed_corruption(tmp_path):
     reloaded.close()
 
 
-# -- crawl checkpoint sidecar ------------------------------------------------
-
-
-def test_crawl_sidecar_survives_every_cut_of_its_final_record(tmp_path):
-    path = tmp_path / "crawl.ckpt"
-    checkpoint = CrawlCheckpoint()
-    checkpoint.record_page(1, [_bot(1), _bot(2)])
-    checkpoint.save(path)
-    checkpoint.record_page(2, [_bot(3)])
-    checkpoint.save(path)
-    sidecar = sidecar_path(path)
-    data = sidecar.read_bytes()
-    prefix_end = data.rfind(b"\n", 0, len(data) - 1) + 1
-
-    for cut in range(prefix_end, len(data) + 1):
-        workdir = tmp_path / f"cut-{cut}"
-        workdir.mkdir()
-        meta_copy = workdir / "crawl.ckpt"
-        meta_copy.write_bytes(path.read_bytes())
-        _truncated_copy(sidecar, cut, sidecar_path(meta_copy))
-        # The meta counts 3 acknowledged bots.  Either every record's bytes
-        # survived the cut (a lost trailing newline loses no data) and the
-        # load recovers the exact golden set — or acknowledged data is gone
-        # and the load is typed corruption, never a fabricated record.
-        from repro.scraper.checkpoint import CheckpointCorruptionError
-
-        try:
-            loaded = CrawlCheckpoint.load(meta_copy)
-        except CheckpointCorruptionError:
-            recovered = CrawlCheckpoint.load_or_empty(meta_copy)
-            assert recovered.bots == [] and recovered.completed_pages == []
-            assert (workdir / "crawl.ckpt.corrupt").exists()
-        else:
-            assert [bot.listing_id for bot in loaded.bots] == [1, 2, 3], f"cut at byte {cut}"
-            assert cut >= len(data) - 1  # only a complete final record loads
-
-
-def test_crawl_sidecar_extra_tail_is_truncated_not_trusted(tmp_path):
-    path = tmp_path / "crawl.ckpt"
-    checkpoint = CrawlCheckpoint()
-    checkpoint.record_page(1, [_bot(1)])
-    checkpoint.save(path)
-    sidecar = sidecar_path(path)
-    # A crash between the sidecar append and the meta rename leaves lines
-    # beyond the authoritative count; they must be dropped, not revived.
-    with open(sidecar, "ab") as handle:
-        handle.write(b'{"half": "a record')
-    loaded = CrawlCheckpoint.load(path)
-    assert [bot.listing_id for bot in loaded.bots] == [1]
-    assert b"half" not in sidecar.read_bytes()
-
-
 # -- pipeline checkpoint snapshot --------------------------------------------
 
 
@@ -211,22 +139,27 @@ def test_pipeline_checkpoint_never_crashes_or_fabricates_under_truncation(tmp_pa
     checkpoint.store_honeypot(
         HoneypotReport(outcomes=[], triggers=[], manual_verifications=2, install_failures=1, captcha_cost=1.5)
     )
+    checkpoint.ledger.record("honeypot", "bot:x", "RuntimeError", 3.0, detail="absorbed by the saving run")
+    checkpoint.quarantines.record("honeypot", "x", "crash", "RuntimeError", 3.0)
     checkpoint.world_state = {"main": {"clock": 12.0}}
     checkpoint.save(path)
     data = path.read_bytes()
-    golden = json.loads(data)
 
-    cuts = set(range(max(0, len(data) - 512), len(data) + 1)) | set(range(0, len(data), 97))
-    for cut in sorted(cuts):
+    for cut in range(len(data) + 1):
         mangled = tmp_path / "mangled.ckpt"
         mangled.write_bytes(data[:cut])
-        recovered = PipelineCheckpoint.load_or_empty(mangled)  # must never raise
-        for stage, entry in recovered.stages.items():
-            # Anything salvaged is byte-faithful to what was stored.
-            assert entry == golden["stages"][stage], f"cut at byte {cut}"
-            assert PipelineCheckpoint._stage_round_trips(stage, entry)
-        (tmp_path / "mangled.ckpt.corrupt").unlink(missing_ok=True)
-    # The untruncated file loads whole.
-    mangled = tmp_path / "mangled.ckpt"
-    mangled.write_bytes(data)
-    assert PipelineCheckpoint.load_or_empty(mangled).completed_stages == ["honeypot"]
+        ledger = FaultLedger()
+        recovered = RecoveryManager(ledger).scrub_pipeline_checkpoint(mangled)  # must never raise
+        if cut == len(data):
+            # Only the complete file is trusted, and then all of it.
+            assert recovered.completed_stages == ["honeypot"]
+            assert len(recovered.ledger) == 1 and len(recovered.quarantines) == 1
+            assert len(ledger) == 0
+            continue
+        # Any cut: nothing from the file survives, the file is quarantined
+        # whole, and exactly one storage record says so.
+        assert recovered.completed_stages == [], f"cut at byte {cut}"
+        assert len(recovered.ledger) == 0 and len(recovered.quarantines) == 0, f"cut at byte {cut}"
+        assert not mangled.exists() and (tmp_path / "mangled.ckpt.corrupt").exists(), f"cut at byte {cut}"
+        assert [record.stage for record in ledger.records] == ["storage"], f"cut at byte {cut}"
+        (tmp_path / "mangled.ckpt.corrupt").unlink()
