@@ -37,7 +37,9 @@ class RedditSite:
     def __init__(self, seed: int = 1337, posts_per_subreddit: int = 4, comments_per_post: int = 12) -> None:
         self._threads: dict[str, list[tuple[str, list[str]]]] = {}
         for subreddit in SUBREDDITS:
-            rng = random.Random((seed, subreddit).__hash__() & 0x7FFFFFFF)
+            # A str seed goes through SHA-512, the same in every process;
+            # ``hash()`` of a str varies with PYTHONHASHSEED.
+            rng = random.Random(f"{seed}:{subreddit}")
             generator = ConversationGenerator(rng)
             posts: list[tuple[str, list[str]]] = []
             for _ in range(posts_per_subreddit):

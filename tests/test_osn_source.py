@@ -1,9 +1,14 @@
 """Tests for the reddit.sim OSN site and the scraped feed source."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.ecosystem.corpus import style_metrics
 from repro.honeypot.feed import alternation_violations, post_feed
 from repro.honeypot.osn_source import OsnFeedSource, RedditScraper
@@ -41,6 +46,26 @@ class TestRedditSite:
         a = RedditSite(seed=4)
         b = RedditSite(seed=4)
         assert a._threads == b._threads
+        # The same page, byte for byte, from processes with different string hashing.
+        render = (
+            "from repro.sites.reddit import RedditSite\n"
+            "from repro.web.http import Request, Url\n"
+            "site = RedditSite(seed=4)\n"
+            "request = Request('GET', Url.parse('https://reddit.sim/r/gaming'), client_id='t')\n"
+            "print(site.host.handle(request).body)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        pages = [
+            subprocess.run(
+                [sys.executable, "-c", render],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert b"comment-body" in pages[0]
+        assert pages[0] == pages[1]
 
 
 class TestOsnFeedSource:

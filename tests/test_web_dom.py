@@ -98,6 +98,10 @@ class TestSelectors:
     def test_attribute_suffix(self, doc):
         assert doc.select_one('a[href$="/privacy"]').text == "Privacy Policy"
 
+    def test_attribute_dash_match(self):
+        doc = parse_html('<p lang="en">a</p><p lang="en-US">b</p><p lang="fr">c</p><p lang="english">d</p>')
+        assert [node.text for node in doc.select("p[lang|=en]")] == ["a", "b"]
+
     def test_descendant_combinator(self, doc):
         assert len(doc.select("#main li")) == 2
         assert doc.select("footer li") == []
