@@ -20,7 +20,10 @@ from repro.core.pipeline import AssessmentPipeline
 from repro.web.chaos import HOSTILE
 
 N_BOTS = 60
-SAMPLE = 10
+# At seed 3 the 12 most-voted bots hold three plantable bots, as in
+# tests/test_adversarial_e2e.py; 10 held only two, and a short planting is
+# refused.
+SAMPLE = 12
 ADVERSARIES = 3
 
 BENCH_HOSTILE = HOSTILE.scaled(

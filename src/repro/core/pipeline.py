@@ -244,14 +244,16 @@ class AssessmentPipeline:
         #: the journal counters its workers report back.
         self._parallel_runner = None
         self._parallel_journal_stats = JournalStats()
+        # Planting first: a sample too small for the adversaries asked for
+        # is a config error, raised before anything process-global is armed.
+        if self.config.adversarial_bots > 0:
+            self._plant_adversaries()
         # Storage-fault injection is process-global (the durable-I/O
         # primitives consult one shim), so installing it here covers every
         # artifact this run writes — and parallel shard workers, which
         # rebuild the pipeline from this same config, arm themselves too.
         if self.config.disk_chaos is not None:
             install_disk_chaos(self.config.disk_chaos, seed=self.config.disk_chaos_seed)
-        if self.config.adversarial_bots > 0:
-            self._plant_adversaries()
 
     # -- resilience helpers -------------------------------------------------
 
@@ -301,11 +303,16 @@ class AssessmentPipeline:
         listings stay untouched — so every stage before the honeypot, and
         every unplanted bot inside it, produces byte-identical output to
         an adversary-free run.
+
+        Raises :class:`ValueError` when the sample holds fewer eligible
+        bots than asked for: a self-test that silently plants fewer
+        adversaries would report a clean bill for the ones it never ran.
         """
         rotation = (behaviors.CRASHER, behaviors.FLOODER, behaviors.STALLER)
+        wanted = self.config.adversarial_bots
         planted = 0
         for bot in self.world.ecosystem.top_voted(self.config.honeypot_sample_size):
-            if planted >= self.config.adversarial_bots:
+            if planted >= wanted:
                 break
             if bot.invite_status is not InviteStatus.VALID:
                 continue
@@ -320,6 +327,11 @@ class AssessmentPipeline:
                 continue
             bot.behavior = rotation[planted % len(rotation)]
             planted += 1
+        if planted < wanted:
+            raise ValueError(
+                f"adversarial_bots={wanted}, but the {self.config.honeypot_sample_size}-bot honeypot sample "
+                f"holds only {planted} bots that can be planted"
+            )
 
     # -- journal + world-state helpers --------------------------------------
 

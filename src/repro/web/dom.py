@@ -1,12 +1,20 @@
 """HTML parsing and CSS-style element location.
 
 This is the substrate for the Selenium-like locator API in
-:mod:`repro.web.browser`.  :func:`parse_html` tokenizes with
-:mod:`html.parser` and lays the document out as one pre-order array of
-:class:`Element` nodes: every element knows its position (``index``) and
-the position just past its last descendant (``end``), so a subtree is a
-contiguous slice of the array and document order is an integer compare.
-A tree is read-only once :func:`parse_html` returns.
+:mod:`repro.web.browser`.  :func:`parse_html` lays the document out as
+one pre-order array of :class:`Element` nodes: every element knows its
+position (``index``) and the position just past its last descendant
+(``end``), so a subtree is a contiguous slice of the array and document
+order is an integer compare.  A tree is read-only once :func:`parse_html`
+returns.
+
+Two tokenizers feed one tree builder.  A single regular expression covers
+the strict subset of HTML the virtual sites serve: text without ``<``,
+end tags ``</name>``, and start tags whose attributes are bare or quoted.
+A document with anything outside that subset -- a comment, a doctype, a
+bare ``<``, an unquoted value, a tag cut off by a truncated body -- is
+parsed whole by :mod:`html.parser` instead, which stays the reference for
+every tree the strict path builds.
 
 :func:`select` implements the selector subset the scraper uses:
 
@@ -25,8 +33,9 @@ cached; a call filters the root's slice and returns hits in index order.
 from __future__ import annotations
 
 import functools
+import html.parser
 import re
-from html.parser import HTMLParser
+from html import unescape
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -123,8 +132,14 @@ class Element:
         return f"<Element {self.tag}{ident}{cls}>"
 
 
-class _TreeBuilder(HTMLParser):
-    """Builds the pre-order array, tolerating unclosed tags like a browser."""
+class _TreeBuilder(html.parser.HTMLParser):
+    """Builds the pre-order array, tolerating unclosed tags like a browser.
+
+    The tree rules are :meth:`open`, :meth:`handle_endtag`,
+    :meth:`handle_data` and :meth:`_close`.  As an :class:`HTMLParser` the
+    builder is also the fallback tokenizer; the strict tokenizer calls the
+    same methods, handing :meth:`open` a ready attribute dict.
+    """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -133,12 +148,16 @@ class _TreeBuilder(HTMLParser):
         self._stack: list[Element] = [self.root]
 
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        element = Element(tag, {name: (value or "") for name, value in attrs}, self._stack[-1], self.nodes)
-        if tag not in VOID_TAGS:
-            self._stack.append(element)
+        self.open(tag, {name: (value or "") for name, value in attrs}, False)
 
     def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
-        Element(tag, {name: (value or "") for name, value in attrs}, self._stack[-1], self.nodes)
+        self.open(tag, {name: (value or "") for name, value in attrs}, True)
+
+    def open(self, tag: str, attrs: dict[str, str], self_closed: bool) -> None:
+        """Append an element; it stays open for children unless void or self-closed."""
+        element = Element(tag, attrs, self._stack[-1], self.nodes)
+        if not self_closed and tag not in VOID_TAGS:
+            self._stack.append(element)
 
     def handle_endtag(self, tag: str) -> None:
         stack = self._stack
@@ -168,12 +187,97 @@ class _TreeBuilder(HTMLParser):
         del self._stack[depth:]
 
 
-def parse_html(markup: str) -> Element:
-    """Parse ``markup`` into a document-rooted :class:`Element` tree."""
+_SPACE = "[ \t\n\r\f]"
+_TAG_NAME = "[a-zA-Z][a-zA-Z0-9-]*"
+_ATTR_NAME = "[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+# Quoted values hold no ``<``, so every tag token holds exactly one.
+_VALUE = "\"[^\"<]*\"|'[^'<]*'"
+#: One token of the strict subset: a text run, an end tag, or a start tag
+#: (its name, its attribute span, and ``/`` if it closes itself).
+_TOKEN = re.compile(
+    rf"""
+    ([^<]+)
+    | </({_TAG_NAME})>
+    | <({_TAG_NAME})((?:{_SPACE}+{_ATTR_NAME}(?:{_SPACE}*={_SPACE}*(?:{_VALUE}))?)*){_SPACE}*(/?)>
+    """,
+    re.VERBOSE,
+)
+#: One attribute of a start tag's span: name, double- or single-quoted value.
+_ATTR = re.compile(rf"""({_ATTR_NAME})(?:{_SPACE}*={_SPACE}*(?:"([^"<]*)"|'([^'<]*)'))?""")
+
+#: Elements whose content some html.parser release reads as raw text
+#: rather than markup: ``script`` and ``style`` in every release, the rest
+#: in newer ones.  Content with no ``<`` or ``&``, closed by the element's
+#: own end tag, builds the same tree in every release, so that is the only
+#: form the strict path accepts.
+_RAW_TEXT = frozenset({"script", "style", "textarea", "title", "xmp", "iframe", "noembed", "noframes", "plaintext"})
+
+#: How the running html.parser decodes attribute values: newer releases
+#: leave a named reference alone unless it is exact and not followed by
+#: ``=``; older ones apply :func:`html.unescape`.
+_unescape_attr = getattr(html.parser, "_unescape_attrvalue", unescape)
+
+
+def _parse_strict(markup: str) -> Element | None:
+    """The tree of ``markup`` if it lies inside the strict subset, else ``None``.
+
+    Tokens get html.parser's normalisation: lower-cased tag and attribute
+    names, and character references decoded in text and attribute values.
+    """
     builder = _TreeBuilder()
-    builder.feed(markup)
-    builder.close()
+    start, data, end = builder.open, builder.handle_data, builder.handle_endtag
+    raw: str | None = None
+    tags = 0
+    for text, closer, tag, attrs, slash in _TOKEN.findall(markup):
+        if raw is not None:
+            # Inside a raw-text element: plain text, then its own end tag.
+            if text and "&" not in text:
+                data(text)
+            elif closer.lower() == raw:
+                tags += 1
+                end(raw)
+                raw = None
+            else:
+                return None
+        elif text:
+            data(unescape(text) if "&" in text else text)
+        elif closer:
+            tags += 1
+            end(closer.lower())
+        else:
+            tags += 1
+            tag = tag.lower()
+            found: dict[str, str] = {}
+            if attrs:
+                for name, double, single in _ATTR.findall(attrs):
+                    value = double or single
+                    found[name.lower()] = _unescape_attr(value) if "&" in value else value
+            start(tag, found, slash == "/")
+            if tag in _RAW_TEXT and not slash:
+                if tag == "plaintext":  # raw text to the end of input in newer releases
+                    return None
+                raw = tag
+    # findall skips a ``<`` that starts no token (text covers every other
+    # character), so the subset holds exactly when each ``<`` began a tag.
+    if raw is not None or tags != markup.count("<"):
+        return None
+    builder._close(0)
     return builder.root
+
+
+def parse_html(markup: str) -> Element:
+    """Parse ``markup`` into a document-rooted :class:`Element` tree.
+
+    The strict tokenizer builds the tree when ``markup`` lies inside its
+    subset; otherwise :mod:`html.parser` parses the whole document.
+    """
+    root = _parse_strict(markup)
+    if root is None:
+        builder = _TreeBuilder()
+        builder.feed(markup)
+        builder.close()
+        root = builder.root
+    return root
 
 
 # --------------------------------------------------------------------------

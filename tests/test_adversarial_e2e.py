@@ -150,6 +150,13 @@ class TestSequential:
         assert payload["honeypot"]["bots_processed"] == SAMPLE - ADVERSARIES
 
 
+class TestPlanting:
+    def test_short_sample_is_a_config_error(self):
+        """At seed 3 a 10-bot sample holds two plantable bots, so asking for three fails up front."""
+        with pytest.raises(ValueError, match=r"adversarial_bots=3, but the 10-bot honeypot sample holds only 2 "):
+            AssessmentPipeline(_config(honeypot_sample_size=10, adversarial_bots=ADVERSARIES))
+
+
 class TestSharded:
     def test_adversaries_quarantined_everyone_else_identical(self, hostile_sharded, baseline_sharded):
         _assert_adversaries_contained(hostile_sharded, baseline_sharded)

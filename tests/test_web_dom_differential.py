@@ -1,11 +1,14 @@
 """Differential tests: the flat DOM engine against the reference oracle.
 
 :mod:`tests.dom_oracle` is the linked-tree engine :mod:`repro.web.dom`
-replaced.  For random markup crossed with random selectors from the
-documented grammar, and for every page type the virtual sites serve run
-through every locator the scrapers use, both engines must build the same
-tree and return the same elements in the same order, with the same
-``.text``, or raise the same ``ValueError``.
+replaced, on :mod:`html.parser`.  For random markup crossed with random
+selectors from the documented grammar, and for every page type the
+virtual sites serve run through every locator the scrapers use, both
+engines must build the same tree and return the same elements in the same
+order, with the same ``.text``, or raise the same ``ValueError``.  The
+random markup and the cut pages straddle the boundary between
+:mod:`repro.web.dom`'s strict tokenizer and its :mod:`html.parser`
+fallback.
 """
 
 from __future__ import annotations
@@ -106,6 +109,13 @@ def _shape(document) -> list[tuple]:
     ]
 
 
+def _rows(document) -> list[tuple]:
+    """Every element in pre-order: tag, attributes, own text and its parent's position."""
+    nodes = list(document.iter())
+    position = {id(node): index for index, node in enumerate(nodes)}
+    return [(node.tag, node.attrs, node.own_text, position.get(id(node.parent), -1)) for node in nodes]
+
+
 def _hits(position: dict[int, int], scope, query) -> object:
     """``query(scope)`` as (document position, tag, text) triples, or the ValueError it raised."""
     try:
@@ -130,35 +140,59 @@ def _assert_agree(markup: str, queries) -> None:
 _TAGS = ("div", "p", "span", "a", "li", "DIV", "br", "img")
 _ATTRS = ("id", "class", "lang", "href")
 _WORDS = ("b", "bot", "en", "en-US", "x-y", "")
-_TEXT = ("x", "Privacy Policy", " ", "\n", "\t", "\u00a0", "&amp;", "&lt;", "&#39;", "&nbsp;", "&bogus;", "&", "\u00e9")
+#: Values that need decoding, like the consent pages' raw ``&permissions=8``.
+#: Older and newer html.parser releases decode ``&copy=1`` and ``&ampx``
+#: differently; both engines must follow the running one.
+_ENTITY_VALUES = ("?a=1&permissions=8", "&amp;", "&#39;", "&copy=1", "&ampx")
+_TEXT = (
+    "x", "Privacy Policy", " ", "\n", "\t", "\u00a0", "&amp;", "&lt;", "&#39;", "&nbsp;", "&bogus;", "&", "\u00e9",
+    "1 < 2", "<3",
+)
 
 
-def _render_attr(name: str, value: str | None, quote: str) -> str:
+def _render_attr(name: str, value: str | None, quote: str, equals: str) -> str:
     if value is None:
         return f" {name}"
     if not quote and (not value or " " in value):
         quote = '"'
-    return f" {name}={quote}{value}{quote}"
+    return f" {name}{equals}{quote}{value}{quote}"
 
 
 _attr = st.builds(
     _render_attr,
-    st.sampled_from(_ATTRS),
-    st.one_of(st.none(), st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join)),
+    # Upper-case names are lower-cased, so ``ID`` repeats ``id``: the last one wins.
+    st.sampled_from(_ATTRS + ("ID", "Lang")),
+    st.one_of(st.none(), st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join), st.sampled_from(_ENTITY_VALUES)),
     st.sampled_from(('"', "'", "")),
+    # Whitespace around ``=`` is inside the strict subset; ``==`` is not.
+    st.sampled_from(("=", "=", " = ", "\n=", "==")),
 )
-_attrs = st.lists(_attr, max_size=2).map("".join)
+_attrs = st.lists(_attr, max_size=3).map("".join)
 _text = st.lists(st.sampled_from(_TEXT), max_size=3).map("".join)
+# Elements some html.parser release reads as raw text, holding text or markup.
+_raw_text = st.builds(
+    lambda tag, attrs, content: f"<{tag}{attrs}>{content}</{tag}>",
+    st.sampled_from(("script", "style", "title", "textarea", "iframe", "plaintext")),
+    _attrs,
+    st.one_of(_text, st.sampled_from(("<p>x</p>", "if (a<b) {}", "</p>", "<!-- c -->"))),
+)
 # Leaves: text, void and self-closed tags, stray closers (``document`` is the
-# root's own tag, whose closer must be ignored too) and comments.
+# root's own tag, whose closer must be ignored too), comments, doctypes and
+# raw-text elements.
 _leaf = st.one_of(
     _text,
     _text,
     _text,
-    st.builds(lambda tag, attrs: f"<{tag}{attrs}>", st.sampled_from(("br", "img")), _attrs),
-    st.builds(lambda tag, attrs: f"<{tag}{attrs}/>", st.sampled_from(_TAGS), _attrs),
+    st.builds(
+        lambda tag, attrs, close: f"<{tag}{attrs}{close}", st.sampled_from(("br", "img")), _attrs,
+        st.sampled_from((">", "/>", " />")),
+    ),
+    st.builds(
+        lambda tag, attrs, close: f"<{tag}{attrs}{close}", st.sampled_from(_TAGS), _attrs, st.sampled_from(("/>", " />"))
+    ),
     st.sampled_from(_TAGS + ("document",)).map(lambda tag: f"</{tag}>"),
-    st.just("<!-- note -->"),
+    st.sampled_from(("<!-- note -->", "<!DOCTYPE html>")),
+    _raw_text,
 )
 # Elements nest; about one in four is left unclosed, as a browser must tolerate.
 _tree = st.recursive(
@@ -207,17 +241,34 @@ selectors = st.one_of(_groups, _groups, _groups, _malformed)
 
 class TestRandomMarkup:
     @settings(max_examples=300, deadline=None)
-    @given(markups, st.lists(selectors, min_size=1, max_size=4))
-    @example("<div><div><p>1</p></div><p>2</p></div><p>3</p>", ["div > p", "div p", "p, div", "* > *", "div div, p"])
-    @example("</document><p>x</p></p>y", ["p", "*"])
+    @given(markups, st.lists(selectors, min_size=1, max_size=4), st.integers(0, 1000))
+    @example(
+        "<div><div><p>1</p></div><p>2</p></div><p>3</p>", ["div > p", "div p", "p, div", "* > *", "div div, p"], 500
+    )
+    @example("</document><p>x</p></p>y", ["p", "*"], 500)
     @example(
         '<p lang="en">a</p><p lang="en-US">b</p><p lang="english">c</p>'
         '<p class="bot b" lang="">d</p><p class="bot">e</p>',
         ["p[lang|=en]", "[class~=b]", "[class|=b]", "[lang|='']", "[lang^=en]", "[lang$=US]", "[lang*=ngl]"],
+        500,
     )
-    def test_engines_agree(self, markup, chosen):
+    # Inside the strict subset whole; the drawn cut ends inside the script,
+    # whose text an older html.parser drops when its end tag never comes.
+    @example(
+        '<p ID = "a" id="b" title="a>b" HREF="?a=1&permissions=8&amp;&#39;">x<br /></p>'
+        "<title>t</title><script>if (a) {}</script>",
+        ["p", "#b", "[href*=permissions]", "title, script"],
+        900,
+    )
+    @example(
+        "<!DOCTYPE html><p>1 < 2</p><script>if (a<b) {}</script><textarea><p>x</p></textarea><style>p {}</style>",
+        ["p", "title, textarea, script, style"],
+        500,
+    )
+    def test_engines_agree(self, markup, chosen, permille):
+        """Whole, cut at half, and cut at a drawn offset (in thousandths of the length)."""
         queries = [methodcaller("select", selector) for selector in chosen]
-        for body in (markup, markup[: len(markup) // 2]):
+        for body in (markup, markup[: len(markup) // 2], markup[: len(markup) * permille // 1000]):
             _assert_agree(body, queries)
 
 
@@ -275,6 +326,10 @@ def served_pages() -> dict[str, str]:
     }
 
 
+#: Past a long page's first 1 KB, its cuts are this many characters apart.
+_CUT_STRIDE = 31
+
+
 def _locator_queries(markup: str) -> list:
     anchors = [node.text for node in dom_oracle.parse_html(markup).find_all("a")]
     link_texts = sorted(set(anchors) | {"Privacy Policy", "privacy", "Legal", ""})
@@ -300,6 +355,30 @@ class TestServedPages:
         if cut == "half":
             markup = markup[: len(markup) // 2]
         _assert_agree(markup, _locator_queries(markup))
+
+    def test_whole_pages_take_the_strict_path(self, served_pages):
+        """No whole page falls back to html.parser.
+
+        Markup outside the strict subset, such as a ``<!DOCTYPE html>``
+        added to a renderer, would send every page of that type to the
+        fallback while every tree, and so every other test, stayed the same.
+        """
+        assert [kind for kind, page in served_pages.items() if dom._parse_strict(page) is None] == []
+
+    @pytest.mark.parametrize("kind", PAGE_KINDS)
+    def test_every_cut_builds_the_same_tree(self, served_pages, kind):
+        """Cut pages build the same tree on both sides of the strict/fallback boundary.
+
+        A cut lands where a truncated body ends.  Pages under 1 KB are cut
+        at every offset, so inside tag names, attribute names, end tags and
+        the detail pages' ``&``-carrying invite hrefs.  The top lists and
+        the subreddit are cut at every offset of their first 1 KB and every
+        ``_CUT_STRIDE``-th after it.
+        """
+        page = served_pages[kind]
+        for cut in [*range(min(len(page), 1024)), *range(1024, len(page), _CUT_STRIDE)]:
+            body = page[:cut]
+            assert _rows(dom.parse_html(body)) == _rows(dom_oracle.parse_html(body)), (cut, body[-40:])
 
     def test_locator_list_covers_the_scrapers(self):
         """SCRAPER_LOCATORS is exactly the ``By.X, "value"`` pairs in the scraping code."""
