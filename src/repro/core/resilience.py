@@ -140,6 +140,9 @@ class CircuitBreakerRegistry(TouchedKeys):
     """Per-host breakers, shared by every scraper in a pipeline run.
 
     Its touched keys are the hosts whose breaker was created or changed.
+    Breakers change state through the registry's methods, which keep the
+    set of hosts whose breaker is not closed: :meth:`open_hosts` reads only
+    those, so a health probe costs the same after one host or a million.
     """
 
     def __init__(
@@ -154,6 +157,9 @@ class CircuitBreakerRegistry(TouchedKeys):
         self.recovery_time = recovery_time
         self.half_open_successes = half_open_successes
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: Hosts whose breaker is open or half-open.  Derived from the
+        #: breakers' states, so :meth:`state_dict` does not carry it.
+        self._not_closed: set[str] = set()
 
     def breaker(self, host: str) -> CircuitBreaker:
         key = host.lower()
@@ -179,17 +185,30 @@ class CircuitBreakerRegistry(TouchedKeys):
 
     def record_success(self, host: str) -> None:
         breaker = self.breaker(host)
-        if self._touched is not None and (breaker.state is CircuitState.HALF_OPEN or breaker._consecutive_failures):
+        half_open = breaker.state is CircuitState.HALF_OPEN
+        if self._touched is not None and (half_open or breaker._consecutive_failures):
             self._touched.add(host.lower())
         breaker.record_success()
+        if half_open:
+            self._note_state(host.lower(), breaker)
 
     def record_failure(self, host: str) -> None:
+        key = host.lower()
         if self._touched is not None:
-            self._touched.add(host.lower())
-        self.breaker(host).record_failure()
+            self._touched.add(key)
+        breaker = self.breaker(key)
+        breaker.record_failure()
+        self._note_state(key, breaker)
+
+    def _note_state(self, key: str, breaker: CircuitBreaker) -> None:
+        if breaker.state is CircuitState.CLOSED:
+            self._not_closed.discard(key)
+        else:
+            self._not_closed.add(key)
 
     def open_hosts(self) -> list[str]:
-        return sorted(host for host, breaker in self._breakers.items() if breaker.state is CircuitState.OPEN)
+        """The hosts whose breaker is open, sorted; reads no closed breaker."""
+        return sorted(host for host in self._not_closed if self._breakers[host].state is CircuitState.OPEN)
 
     def state_dict(self, keys=None) -> dict:
         """Every breaker's state, or only those of the hosts in ``keys``."""
@@ -200,7 +219,10 @@ class CircuitBreakerRegistry(TouchedKeys):
     def restore_state(self, state: dict) -> None:
         """Restore the breakers in ``state``; others keep theirs."""
         for host, payload in state.items():
-            self.breaker(host).restore_state(payload)
+            key = host.lower()
+            breaker = self.breaker(key)
+            breaker.restore_state(payload)
+            self._note_state(key, breaker)
 
     @property
     def short_circuits(self) -> int:

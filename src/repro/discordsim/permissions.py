@@ -65,6 +65,14 @@ ALL_PERMISSIONS_VALUE = 0
 for _flag in Permission:
     ALL_PERMISSIONS_VALUE |= _flag.value
 
+#: Each defined bit's member, keyed by the bit as a plain int.  The set
+#: queries below read bits through ``_value_`` and this table because
+#: iterating ``Permission`` and reading ``Enum.value`` go through enum
+#: descriptors: walking all 41 members made every ``flags()`` call cost
+#: tens of microseconds, however few bits were set.
+_FLAG_BY_BIT: dict[int, Permission] = {flag._value_: flag for flag in Permission}
+_ADMINISTRATOR_BIT = Permission.ADMINISTRATOR._value_
+
 
 #: Human-readable labels exactly as they appear on install screens and in
 #: the paper's Figure 3 (e.g. VIEW_CHANNEL is surfaced as "read messages").
@@ -179,35 +187,44 @@ class Permissions:
     def of(cls, *flags: Permission) -> "Permissions":
         value = 0
         for flag in flags:
-            value |= flag.value
+            value |= flag._value_
         return cls(value)
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "Permissions":
         value = 0
         for name in names:
-            value |= permission_from_name(name).value
+            value |= permission_from_name(name)._value_
         return cls(value)
 
     # -- queries ---------------------------------------------------------------
 
     def has(self, flag: Permission) -> bool:
         """True if the flag is present *or* ADMINISTRATOR is present."""
-        if self.value & Permission.ADMINISTRATOR.value:
-            return True
-        return bool(self.value & flag.value)
+        value = self.value
+        return bool(value & _ADMINISTRATOR_BIT or value & flag._value_)
 
     def has_exactly(self, flag: Permission) -> bool:
         """True only if the flag's own bit is set (no administrator shortcut)."""
-        return bool(self.value & flag.value)
+        return bool(self.value & flag._value_)
 
     @property
     def is_administrator(self) -> bool:
-        return bool(self.value & Permission.ADMINISTRATOR.value)
+        return bool(self.value & _ADMINISTRATOR_BIT)
 
     def flags(self) -> list[Permission]:
-        """The individually-set flags, lowest bit first."""
-        return [flag for flag in Permission if self.value & flag.value]
+        """The individually-set flags, lowest bit first.
+
+        The canonical ``Permission`` members themselves, in the order
+        iterating ``Permission`` yields them; only the set bits are visited.
+        """
+        found = []
+        rest = self.value
+        while rest:
+            bit = rest & -rest
+            found.append(_FLAG_BY_BIT[bit])
+            rest ^= bit
+        return found
 
     def display_names(self) -> list[str]:
         """Display labels for the set flags, as a consent screen shows them."""

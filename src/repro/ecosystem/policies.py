@@ -146,12 +146,6 @@ class PolicySpec:
         return "partial"
 
 
-@dataclass
-class PolicyDocument:
-    spec: PolicySpec
-    text: str
-
-
 def render_policy(spec: PolicySpec, bot_name: str, rng: random.Random) -> str:
     """Render policy text whose detectable practices equal ``spec.categories``."""
     if not spec.present:

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from statistics import NormalDist
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.discordsim import behaviors
 from repro.discordsim.oauth import OAuthScope, build_invite_url
@@ -736,17 +736,3 @@ def _generate_bot(
         behavior=behaviors.BENIGN,
         built_with=developer.uses_platform,
     )
-
-
-def iter_bot_dicts(bots: Iterable[BotProfile]) -> Iterator[dict]:
-    """Compact JSON-able projection of profiles (used by spill tooling)."""
-    for bot in bots:
-        yield {
-            "index": bot.index,
-            "name": bot.name,
-            "developer": bot.developer_tag,
-            "votes": bot.votes,
-            "guilds": bot.guild_count,
-            "invite": bot.invite_status.value,
-            "behavior": bot.behavior,
-        }

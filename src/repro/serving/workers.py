@@ -219,6 +219,7 @@ def vet_worker_main(worker_id: int, seed: int, policy: VettingPolicy, conn) -> N
                 "job_id": job.job_id,
                 "ok": False,
                 "kind": job.kind,
+                "worker_id": worker_id,
                 "error": f"{type(error).__name__}: {error}",
             }
         try:
@@ -506,7 +507,7 @@ class WorkerPool:
         """The worker survived but the vet itself raised: record and fall back."""
         self.faults.record(
             "serving.pool",
-            f"vet-worker-{payload.get('worker_id', '?')}",
+            f"vet-worker-{payload['worker_id']}",
             "WorkerJobError",
             self.clock.now(),
             detail=f"{job.kind} for {job.bot}: {payload.get('error', 'unknown')}",

@@ -1,5 +1,7 @@
 """Unit tests for circuit breakers, retry policy/budget, and the fault ledger."""
 
+import random
+
 import pytest
 
 from repro.core.resilience import (
@@ -88,6 +90,77 @@ def test_registry_is_per_host_and_counts_short_circuits():
         registry.check("A.SIM")  # case-insensitive host keys
     assert registry.open_hosts() == ["a.sim"]
     assert registry.short_circuits == 1
+
+
+def open_by_full_scan(registry: CircuitBreakerRegistry) -> list[str]:
+    """What ``open_hosts`` answered by reading every breaker it ever made."""
+    return sorted(host for host, state in registry.state_dict().items() if state["state"] == "open")
+
+
+def test_open_hosts_matches_full_scan_over_a_seeded_walk():
+    """Failures, successes, checks and clock jumps over 60 hosts, with whole
+    round trips into a fresh registry and a replica fed per touched key the
+    way the journal replays: every step, both answer like the full scan."""
+    rng = random.Random(23)
+    clock = VirtualClock()
+    settings = {"failure_threshold": 2, "recovery_time": 100.0, "half_open_successes": 2}
+    hosts = [f"h{index}.sim" for index in range(60)]
+    registry = CircuitBreakerRegistry(clock, **settings)
+    registry.track_touches()
+    replica = CircuitBreakerRegistry(clock, **settings)
+    round_trips = reclosed = most_open = 0
+    for _ in range(3000):
+        host = rng.choice(hosts)
+        roll = rng.random()
+        if roll < 0.35:
+            registry.record_failure(host)
+        elif roll < 0.65:
+            was_half_open = registry.breaker(host).state is CircuitState.HALF_OPEN
+            registry.record_success(host)
+            if was_half_open and registry.breaker(host).state is CircuitState.CLOSED:
+                reclosed += 1
+        elif roll < 0.9:
+            try:
+                registry.check(host.upper())
+            except CircuitOpenError:
+                pass
+        elif roll < 0.97:
+            clock.advance(rng.choice((30.0, 120.0)))
+        else:
+            fresh = CircuitBreakerRegistry(clock, **settings)
+            fresh.restore_state(registry.state_dict())
+            fresh.track_touches()
+            registry = fresh
+            round_trips += 1
+        replica.restore_state(registry.state_dict(registry.drain_touched()))
+        expected = open_by_full_scan(registry)
+        assert registry.open_hosts() == expected
+        assert replica.open_hosts() == expected == open_by_full_scan(replica)
+        most_open = max(most_open, len(expected))
+    assert round_trips and reclosed and most_open >= 3
+
+
+def test_open_hosts_reads_no_breaker_that_never_failed():
+    clock = VirtualClock()
+    registry = CircuitBreakerRegistry(clock, failure_threshold=1)
+    for index in range(1000):
+        registry.check(f"ok{index}.sim")
+        registry.record_success(f"ok{index}.sim")
+    registry.record_failure("down-a.sim")
+    registry.record_failure("down-b.sim")
+    read: list[CircuitBreaker] = []
+
+    class Watched(CircuitBreaker):
+        @property
+        def state(self) -> CircuitState:
+            read.append(self)
+            return self._state
+
+    for host in registry.state_dict():
+        registry.breaker(host).__class__ = Watched
+    assert registry.open_hosts() == ["down-a.sim", "down-b.sim"]
+    tripped = {id(registry.breaker("down-a.sim")), id(registry.breaker("down-b.sim"))}
+    assert read and {id(breaker) for breaker in read} <= tripped
 
 
 # -- retry policy / budget --------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-based tests for the permission algebra (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.discordsim.permissions import (
@@ -79,6 +79,41 @@ class TestFlagsRoundtrip:
     @given(permission_sets)
     def test_len_equals_popcount(self, a):
         assert len(a) == bin(a.value).count("1")
+
+
+def reference_flags(value: int) -> list[Permission]:
+    """The enum walk ``Permissions.flags()`` replaced: every member, in
+    iteration order, whose bit is set."""
+    return [flag for flag in Permission if value & flag.value]
+
+
+class TestFlagsAgainstEnumWalk:
+    """The set-bit walk and the plain-int queries agree with the enum walk
+    and ``flag.value`` reads on every value, down to member identity."""
+
+    @given(permission_values)
+    @example(0)
+    @example(ALL_PERMISSIONS_VALUE)
+    @example(Permission.ADMINISTRATOR.value)
+    @example(Permission.MODERATE_MEMBERS.value)
+    def test_flags_match_reference_in_order_and_identity(self, value):
+        walked = Permissions(value).flags()
+        reference = reference_flags(value)
+        assert len(walked) == len(reference)
+        assert all(got is want for got, want in zip(walked, reference))
+        assert [flag.value for flag in walked] == sorted(flag.value for flag in walked)
+
+    @given(permission_values, flags)
+    @example(0, Permission.ADMINISTRATOR)
+    @example(ALL_PERMISSIONS_VALUE, Permission.MODERATE_MEMBERS)
+    @example(Permission.ADMINISTRATOR.value, Permission.SEND_MESSAGES)
+    @example(Permission.MODERATE_MEMBERS.value, Permission.MODERATE_MEMBERS)
+    def test_queries_match_value_reads(self, value, flag):
+        permissions = Permissions(value)
+        admin = bool(value & Permission.ADMINISTRATOR.value)
+        assert permissions.is_administrator is admin
+        assert permissions.has_exactly(flag) is bool(value & flag.value)
+        assert permissions.has(flag) is (admin or bool(value & flag.value))
 
 
 class TestOverwriteProperties:

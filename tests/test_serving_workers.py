@@ -10,6 +10,7 @@ cross-mode byte-equality guarantee (workers=0 vs workers=N).
 
 import dataclasses
 import json
+import multiprocessing
 import time
 
 import pytest
@@ -287,6 +288,41 @@ class TestCrashRecovery:
             assert pool.execute("code", ecosystem.bots[0], key="final") is None
             assert pool.ledger.opened == before
             assert pool.status in ("degraded", "down")
+        finally:
+            pool.shutdown()
+
+
+# -- job failures --------------------------------------------------------------
+
+
+class TestJobFailure:
+    def test_failed_job_is_ledgered_under_the_slot_that_ran_it(self, ecosystem, monkeypatch):
+        """A vet that raises inside a worker comes back ``ok=False`` and is
+        ledgered as a ``WorkerJobError`` naming the slot that ran it."""
+        original_exec = workers_module.execute_vet_job
+
+        def failing(pipeline, job):
+            if job.kind == "ping":
+                return original_exec(pipeline, job)
+            raise RuntimeError(f"raised in {multiprocessing.current_process().name}")
+
+        # Patched before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(workers_module, "execute_vet_job", failing)
+        pool = make_pool(size=2)
+        try:
+            deadline = time.monotonic() + 10.0
+            while pool.status != "healthy" and time.monotonic() < deadline:
+                pool.reap()
+                time.sleep(0.01)
+            assert pool.status == "healthy"
+            for index in range(2):
+                assert pool.execute("code", ecosystem.bots[0], key=f"k{index}") is None
+            failures = [r for r in pool.faults.records if r.error_class == "WorkerJobError"]
+            assert [record.host for record in failures] == ["vet-worker-0", "vet-worker-1"]
+            for record in failures:
+                assert record.detail.endswith(f"RuntimeError: raised in {record.host}")
+            assert pool.fallbacks == 2
+            assert pool.ledger.consistent
         finally:
             pool.shutdown()
 
