@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.scraper.topgg import ScrapedBot
 
@@ -15,12 +16,17 @@ class DeveloperDistribution:
     developer_bot_counts: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def from_bots(cls, bots: list[ScrapedBot]) -> "DeveloperDistribution":
-        counts: Counter = Counter()
+    def from_bots(cls, bots: Iterable[ScrapedBot]) -> "DeveloperDistribution":
+        dist = cls()
         for bot in bots:
-            if bot.developer_tag:
-                counts[bot.developer_tag] += 1
-        return cls(developer_bot_counts=dict(counts))
+            dist.add(bot)
+        return dist
+
+    def add(self, bot: ScrapedBot) -> None:
+        """Count one scraped bot in (developers keep first-seen order)."""
+        if bot.developer_tag:
+            counts = self.developer_bot_counts
+            counts[bot.developer_tag] = counts.get(bot.developer_tag, 0) + 1
 
     @property
     def total_developers(self) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.discordsim.permissions import DISPLAY_NAMES, Permission
 from repro.scraper.topgg import PermissionStatus, ScrapedBot
@@ -26,21 +27,26 @@ class PermissionDistribution:
     admin_with_extras: int = 0
 
     @classmethod
-    def from_bots(cls, bots: list[ScrapedBot]) -> "PermissionDistribution":
-        dist = cls(total_bots=len(bots))
+    def from_bots(cls, bots: Iterable[ScrapedBot]) -> "PermissionDistribution":
+        dist = cls()
         for bot in bots:
-            dist.status_counts[bot.permission_status.value] += 1
-            if not bot.has_valid_permissions:
-                continue
-            dist.valid_bots += 1
-            permissions = bot.permissions
-            for flag in permissions.flags():
-                dist.permission_counts[DISPLAY_NAMES[flag]] += 1
-            for scope in bot.scope_names:
-                dist.scope_counts[scope] += 1
-            if permissions.redundant_with_administrator():
-                dist.admin_with_extras += 1
+            dist.add(bot)
         return dist
+
+    def add(self, bot: ScrapedBot) -> None:
+        """Count one scraped bot in."""
+        self.total_bots += 1
+        self.status_counts[bot.permission_status.value] += 1
+        if not bot.has_valid_permissions:
+            return
+        self.valid_bots += 1
+        permissions = bot.permissions
+        for flag in permissions.flags():
+            self.permission_counts[DISPLAY_NAMES[flag]] += 1
+        for scope in bot.scope_names:
+            self.scope_counts[scope] += 1
+        if permissions.redundant_with_administrator():
+            self.admin_with_extras += 1
 
     # -- headline numbers -----------------------------------------------------
 

@@ -11,6 +11,7 @@ requests against what its declared purpose (listing tags) plausibly needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.discordsim.permissions import Permission, Permissions
 from repro.scraper.topgg import ScrapedBot
@@ -145,18 +146,22 @@ class RiskSummary:
     HIGH_RISK_THRESHOLD = 0.5
 
     @classmethod
-    def from_bots(cls, bots: list[ScrapedBot]) -> "RiskSummary":
+    def from_bots(cls, bots: Iterable[ScrapedBot]) -> "RiskSummary":
         summary = cls()
         for bot in bots:
-            if not bot.has_valid_permissions:
-                continue
-            permissions = bot.permissions
-            score = risk_score(permissions)
-            summary.scores.append(score)
-            summary.over_privilege.append(over_privilege_index(permissions, bot.tags))
-            if score >= cls.HIGH_RISK_THRESHOLD:
-                summary.high_risk_names.append(bot.name)
+            summary.add(bot)
         return summary
+
+    def add(self, bot: ScrapedBot) -> None:
+        """Score one scraped bot (bots without valid permissions are skipped)."""
+        if not bot.has_valid_permissions:
+            return
+        permissions = bot.permissions
+        score = risk_score(permissions)
+        self.scores.append(score)
+        self.over_privilege.append(over_privilege_index(permissions, bot.tags))
+        if score >= self.HIGH_RISK_THRESHOLD:
+            self.high_risk_names.append(bot.name)
 
     @property
     def mean_risk(self) -> float:

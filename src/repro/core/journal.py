@@ -63,6 +63,20 @@ def _digest(seq: int, stage: str, key: str, body: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _record_line(seq: int, stage: str, key: str, body: dict) -> bytes:
+    """One record's journal line, its body encoded once for checksum and line.
+
+    Byte-identical to ``_canonical`` of the record's payload carrying
+    :func:`_digest`'s sha: canonical JSON sorts keys, so the digested
+    object is ``body, key, seq, stage`` and the line slots ``sha`` in
+    before ``stage``.
+    """
+    head = f'{{"body":{_canonical(body)},"key":{_canonical(key)},"seq":{_canonical(seq)}'
+    tail = f'"stage":{_canonical(stage)}}}'
+    sha = hashlib.sha256(f"{head},{tail}".encode("utf-8")).hexdigest()
+    return f'{head},"sha":"{sha}",{tail}\n'.encode("utf-8")
+
+
 @dataclass(frozen=True)
 class JournalRecord:
     """One validated journal record."""
@@ -97,7 +111,9 @@ class WriteAheadJournal:
     file is scanned once and the maximal valid prefix becomes the replayable
     record set.  The first append physically truncates any invalid tail so
     a journal can survive repeated crash/resume cycles without garbage
-    accumulating mid-file.
+    accumulating mid-file.  The journal remembers which stages that prefix
+    and its own appends hold records of, so asking a fresh run's journal
+    for a stage it never wrote reads nothing.
 
     Durability rides through :class:`~repro.core.storage.DurableAppendFile`
     with a configurable fsync cadence.  ``fsync_every=1`` (the default)
@@ -118,7 +134,7 @@ class WriteAheadJournal:
         self.fsync_every = fsync_every
         self._file = DurableAppendFile(self.path, label="journal", fsync_every=fsync_every)
         self._truncated = False
-        _, valid, self._valid_bytes, dropped = self._scan(None)
+        _, valid, self._valid_bytes, dropped, self._stages = self._scan(None)
         self._next_seq = valid + 1
         if dropped:
             self.stats.discarded += dropped
@@ -126,20 +142,22 @@ class WriteAheadJournal:
 
     # -- reading -----------------------------------------------------------
 
-    def _scan(self, stage: str | None) -> tuple[list[JournalRecord], int, int, int]:
+    def _scan(self, stage: str | None) -> tuple[list[JournalRecord], int, int, int, set[str]]:
         """Verify the file line by line; keep only ``stage``'s records.
 
-        Returns ``(kept, valid, valid_bytes, dropped)``: the valid prefix's
-        records of ``stage`` (none for ``None``), its record count and byte
-        length, and the non-blank lines after it.  Memory stays bounded by
-        one line plus the kept records, whatever the file's size.
+        Returns ``(kept, valid, valid_bytes, dropped, stages)``: the valid
+        prefix's records of ``stage`` (none for ``None``), its record count
+        and byte length, the non-blank lines after it, and the stages it
+        holds records of.  Memory stays bounded by one line plus the kept
+        records, whatever the file's size.
         """
         kept: list[JournalRecord] = []
+        stages: set[str] = set()
         valid = valid_bytes = dropped = 0
         try:
             stream = open(self.path, "rb")
         except FileNotFoundError:
-            return kept, 0, 0, 0
+            return kept, 0, 0, 0, stages
         with stream:
             for line in stream:
                 # An unterminated line is a torn append: stop there.
@@ -150,9 +168,10 @@ class WriteAheadJournal:
                     break
                 valid += 1
                 valid_bytes += len(line)
+                stages.add(record.stage)
                 if record.stage == stage:
                     kept.append(record)
-        return kept, valid, valid_bytes, dropped
+        return kept, valid, valid_bytes, dropped, stages
 
     @staticmethod
     def _decode(line: bytes, expected_seq: int) -> JournalRecord | None:
@@ -179,12 +198,17 @@ class WriteAheadJournal:
     def pending(self, stage: str) -> list[JournalRecord]:
         """Replayable records for ``stage``, in append order.
 
-        Scans the file on demand rather than keeping an in-RAM copy of
+        A stage that neither the valid prefix found at open nor this
+        process's appends hold a record of has none, and the file is not
+        read: every stage start of a fresh run costs nothing.  Otherwise the
+        file is scanned on demand rather than keeping an in-RAM copy of
         every append: replay happens once per stage open while appends
         happen per unit, so the scan cost lands on the rare path and the
         hot path stays O(1) memory over a million-bot run.  The scan keeps
         only ``stage``'s records, verifying every other record on the way.
         """
+        if stage not in self._stages:
+            return []
         self._file.flush()
         return self._scan(stage)[0]
 
@@ -197,14 +221,8 @@ class WriteAheadJournal:
         the injection harness can manufacture a genuinely torn tail.
         """
         record = JournalRecord(seq=self._next_seq, stage=stage, key=key, body=body)
-        payload = {
-            "seq": record.seq,
-            "stage": stage,
-            "key": key,
-            "body": body,
-            "sha": _digest(record.seq, stage, key, body),
-        }
-        line = (_canonical(payload) + "\n").encode("utf-8")
+        line = _record_line(record.seq, stage, key, body)
+        self._stages.add(stage)
         # Truncate the invalid tail exactly once per process: records
         # appended after the first open extend past ``_valid_bytes``
         # and must survive a close/reopen cycle.

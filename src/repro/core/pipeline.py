@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -23,6 +24,7 @@ from typing import Any, Callable, NamedTuple
 from repro.analysis.code_stats import CodeAnalysisSummary
 from repro.analysis.developer_stats import DeveloperDistribution
 from repro.analysis.permission_stats import PermissionDistribution
+from repro.analysis.risk import RiskSummary
 from repro.analysis.traceability_stats import TraceabilitySummary
 from repro.botstore.host import build_store_host
 from repro.codeanalysis.analyzer import CodeAnalyzer
@@ -67,6 +69,7 @@ from repro.discordsim.permissions import Permission
 from repro.discordsim.platform import DiscordPlatform
 from repro.ecosystem.generator import InviteStatus
 from repro.ecosystem.generator import Ecosystem, EcosystemConfig, generate_ecosystem
+from repro.ecosystem.stream import policy_eligible_at
 from repro.honeypot.experiment import HoneypotExperiment, HoneypotReport
 from repro.scraper.github import GitHubScraper
 from repro.scraper.topgg import ScrapedBot, TopGGScraper, scraped_bot_from_dict, scraped_bot_to_dict
@@ -941,17 +944,12 @@ class AssessmentPipeline:
             if checkpoint is not None:
                 checkpoint.store_crawl(crawl, scraper.stats)
                 self._save_checkpoint(checkpoint, status)
-        active = crawl.with_valid_permissions()
-
-        result.permission_distribution = PermissionDistribution.from_bots(crawl.bots)
-        result.developer_distribution = DeveloperDistribution.from_bots(crawl.bots)
-        from repro.analysis.risk import RiskSummary
-
-        result.risk_summary = RiskSummary.from_bots(crawl.bots)
+        active_count, linked_count = _account_crawl(crawl.bots, result)
+        active = crawl.with_valid_permissions(active_count)
 
         # Stages 2–4: one driver over the stage table.
         values: dict[str, Any] = {}
-        for stage in self._stage_table(active):
+        for stage in self._stage_table(active, active_count, linked_count):
             if stage.enabled:
                 values[stage.name] = self._drive(stage, checkpoint, status)
             else:
@@ -964,8 +962,8 @@ class AssessmentPipeline:
         if values.get(STAGE_CODE) is not None:
             result.repo_analyses = values[STAGE_CODE]
             result.code_summary = CodeAnalysisSummary.from_analyses(
-                active_bots=len(active),
-                github_links=sum(1 for bot in active if bot.github_url),
+                active_bots=active_count,
+                github_links=linked_count,
                 analyses=result.repo_analyses,
             )
         result.honeypot = values.get(STAGE_HONEYPOT)
@@ -992,8 +990,12 @@ class AssessmentPipeline:
             )
         return result
 
-    def _stage_table(self, active) -> tuple[_Stage, ...]:
-        """Stages 2–4 in run order, each with what sets it apart."""
+    def _stage_table(self, active, active_count: int, linked_count: int) -> tuple[_Stage, ...]:
+        """Stages 2–4 in run order, each with what sets it apart.
+
+        ``active_count`` and ``linked_count`` are stage 2's and stage 3's
+        populations, counted by the crawl accounting's walk.
+        """
         by_name = attrgetter("bot_name")
 
         def traceability():
@@ -1032,7 +1034,7 @@ class AssessmentPipeline:
                 self.config.run_traceability,
                 traceability,
                 processed=lambda value: len(value[0]),
-                population=lambda: len(active),
+                population=lambda: active_count,
                 restore=PipelineCheckpoint.restore_traceability,
                 store=lambda checkpoint, value: checkpoint.store_traceability(*value),
             ),
@@ -1041,7 +1043,7 @@ class AssessmentPipeline:
                 self.config.run_code_analysis,
                 code,
                 processed=len,
-                population=lambda: sum(1 for bot in active if bot.github_url),
+                population=lambda: linked_count,
                 restore=PipelineCheckpoint.restore_code,
                 store=PipelineCheckpoint.store_code,
             ),
@@ -1215,21 +1217,43 @@ class AssessmentPipeline:
         validator = ManualReviewValidator(self.traceability_analyzer, seed=self.config.seed + 4)
         bots = self.world.ecosystem.bots
         if self.config.stream:
-            # Two passes over the stream — count eligible, then collect the
-            # sampled ordinals — instead of one materialized list; the
-            # report is byte-identical (sampling is by index either way).
-            count = sum(1 for bot in bots if bot.policy.present and bot.policy.link_valid)
-            entries = (
-                (bot.name, bot.policy, bot.policy_text)
-                for bot in bots
-                if bot.policy.present and bot.policy.link_valid
+            # Probe ranks for eligibility and build only the drawn bots
+            # (through the profile cache); the report is byte-identical,
+            # since sampling is by index either way.
+            return validator.validate_ranks(
+                len(bots),
+                partial(policy_eligible_at, self.world.ecosystem.config),
+                lambda rank: _policy_entry(bots[rank]),
+                sample_size=self.config.validation_sample_size,
             )
-            return validator.validate_stream(
-                entries, count, sample_size=self.config.validation_sample_size
-            )
-        policies = [
-            (bot.name, bot.policy, bot.policy_text)
-            for bot in self.world.ecosystem.bots
-            if bot.policy.present and bot.policy.link_valid
-        ]
+        policies = [_policy_entry(bot) for bot in bots if bot.policy.present and bot.policy.link_valid]
         return validator.validate(policies, sample_size=self.config.validation_sample_size)
+
+
+def _account_crawl(bots, result: PipelineResult) -> tuple[int, int]:
+    """The run-level accounting of the crawl, in one walk of it.
+
+    Fills ``result``'s Fig. 3, Table 1 and risk summaries and returns
+    ``(active, github_linked)``: the bots with valid permissions (stage 2's
+    population) and those of them with a GitHub link (stage 3's).  A
+    streamed crawl is a disk spill that every walk re-reads and re-decodes.
+    """
+    permissions, developers, risk = PermissionDistribution(), DeveloperDistribution(), RiskSummary()
+    active = linked = 0
+    for bot in bots:
+        permissions.add(bot)
+        developers.add(bot)
+        risk.add(bot)
+        if bot.has_valid_permissions:
+            active += 1
+            if bot.github_url:
+                linked += 1
+    result.permission_distribution = permissions
+    result.developer_distribution = developers
+    result.risk_summary = risk
+    return active, linked
+
+
+def _policy_entry(bot) -> tuple:
+    """A bot's manual-review entry: ``(name, ground-truth spec, policy text)``."""
+    return bot.name, bot.policy, bot.policy_text

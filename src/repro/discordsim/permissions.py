@@ -151,6 +151,11 @@ class Permissions:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permissions is immutable")
 
+    def __reduce__(self):
+        # Rebuild through ``__init__``: the default slot-state restore
+        # would go through the ``__setattr__`` that refuses every write.
+        return (Permissions, (self.value,))
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -41,7 +41,7 @@ from repro.discordsim import behaviors
 from repro.discordsim.oauth import OAuthScope, build_invite_url
 from repro.discordsim.permissions import Permission, Permissions, permission_from_name
 from repro.ecosystem import names as naming
-from repro.ecosystem.distributions import DEFAULT_TARGETS, Targets
+from repro.ecosystem.distributions import DEFAULT_TARGETS, Targets, TraceabilityTargets
 from repro.ecosystem.policies import PolicySpec, render_policy, sample_policy_spec
 from repro.ecosystem.repos import RepoKind, RepoSpec, generate_repo
 
@@ -163,6 +163,31 @@ def votes_at(config: EcosystemConfig, rank: int) -> int:
 def invite_status_at(config: EcosystemConfig, rank: int) -> InviteStatus:
     """O(1) probe used by the Melonian overlay and the invite pages."""
     return _sample_invite_status(_derive_rng(config.seed, "invite", rank), config.targets)
+
+
+def _trace_draws(rng: random.Random, trace: TraceabilityTargets) -> tuple[bool, bool, bool]:
+    """The trace stream's first three draws: website, policy link, valid link.
+
+    The one definition :meth:`EcosystemStream.bot_at` and
+    :func:`policy_eligible_at` share, so the probe cannot drift from the
+    profiles it predicts.
+    """
+    has_website = rng.random() < trace.website_fraction
+    policy_present = has_website and rng.random() < trace.policy_link_given_website
+    link_valid = policy_present and rng.random() < trace.valid_policy_given_link
+    return has_website, policy_present, link_valid
+
+
+def policy_eligible_at(config: EcosystemConfig, rank: int) -> bool:
+    """O(1) probe: whether ``bot_at(rank).policy`` is present with a valid link.
+
+    The manual-review population's predicate, answered from at most three
+    draws of the rank's trace stream instead of a whole profile.  The
+    Melonian overlay leaves the policy alone, so the plant's rank needs no
+    special case.
+    """
+    _, present, link_valid = _trace_draws(_derive_rng(config.seed, "trace", rank), config.targets.traceability)
+    return present and link_valid
 
 
 def rank_suffix_of(text: str) -> int | None:
@@ -416,10 +441,8 @@ class EcosystemStream:
 
         trace = targets.traceability
         rng_trace = _derive_rng(seed, "trace", rank)
-        has_website = rng_trace.random() < trace.website_fraction
+        has_website, policy_present, link_valid = _trace_draws(rng_trace, trace)
         website_host = f"{name.lower()}.botsite.sim" if has_website else None
-        policy_present = has_website and rng_trace.random() < trace.policy_link_given_website
-        link_valid = policy_present and rng_trace.random() < trace.valid_policy_given_link
         policy = sample_policy_spec(
             rng_trace,
             present=policy_present,
@@ -702,10 +725,8 @@ def _generate_bot(
     )
 
     trace = targets.traceability
-    has_website = rng.random() < trace.website_fraction
+    has_website, policy_present, link_valid = _trace_draws(rng, trace)
     website_host = f"{name.lower()}.botsite.sim" if has_website else None
-    policy_present = has_website and rng.random() < trace.policy_link_given_website
-    link_valid = policy_present and rng.random() < trace.valid_policy_given_link
     policy = sample_policy_spec(
         rng,
         present=policy_present,

@@ -62,10 +62,19 @@ class ScrapedBot:
     permission_status: PermissionStatus = PermissionStatus.INVALID_LINK
     permission_names: tuple[str, ...] = ()
     scope_names: tuple[str, ...] = ()
+    #: ``(names, parsed)``: the last ``permission_names`` tuple parsed and
+    #: its value.  Keyed by the tuple's identity, so reassigning the names
+    #: (as invite resolution does) re-parses; derived, so out of ``repr``,
+    #: equality and the codecs.
+    _parsed: tuple = field(default=((), Permissions.none()), init=False, repr=False, compare=False)
 
     @property
     def permissions(self) -> Permissions:
-        return Permissions.from_names(self.permission_names)
+        names, value = self._parsed
+        if names is not self.permission_names:
+            value = Permissions.from_names(self.permission_names)
+            self._parsed = (self.permission_names, value)
+        return value
 
     @property
     def has_valid_permissions(self) -> bool:
@@ -115,12 +124,13 @@ class ActiveBots:
 
     Iteration re-reads the backing store each pass (streamed runs re-walk
     it once per stage); the count is taken on first ``len()`` and cached —
-    the crawl is over by then, so the filtered population is final.
+    the crawl is over by then, so the filtered population is final.  A
+    caller that already counted it passes ``count`` and spares that walk.
     """
 
-    def __init__(self, bots) -> None:
+    def __init__(self, bots, count: int | None = None) -> None:
         self._bots = bots
-        self._count: int | None = None
+        self._count = count
 
     def __iter__(self):
         for bot in self._bots:
@@ -139,17 +149,18 @@ class CrawlResult:
     pages_traversed: int = 0
     _active: "ActiveBots | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def with_valid_permissions(self) -> "list[ScrapedBot] | ActiveBots":
+    def with_valid_permissions(self, count: int | None = None) -> "list[ScrapedBot] | ActiveBots":
         """The bots whose invites resolved (the stage 2–4 input).
 
         A plain list for materialized crawls; a cached lazy view when
         ``bots`` is a disk spill, so a streamed run never materializes the
-        active population either.
+        active population either.  ``count``, when the caller has already
+        counted the active bots, becomes the view's length without a walk.
         """
         if isinstance(self.bots, list):
             return [bot for bot in self.bots if bot.has_valid_permissions]
         if self._active is None:
-            self._active = ActiveBots(self.bots)
+            self._active = ActiveBots(self.bots, count)
         return self._active
 
 

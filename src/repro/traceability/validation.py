@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.ecosystem.policies import PolicySpec
 from repro.traceability.analyzer import TraceabilityAnalyzer
@@ -63,33 +64,39 @@ class ManualReviewValidator:
             population = self._rng.sample(population, sample_size)
         return self._score(population)
 
-    def validate_stream(
+    def validate_ranks(
         self,
-        policies,
-        population_size: int,
+        ranks: int,
+        eligible: Callable[[int], bool],
+        entry_at: Callable[[int], tuple[str, PolicySpec, str]],
         sample_size: int = 100,
     ) -> ValidationReport:
-        """Two-pass form of :meth:`validate` for streamed populations.
+        """:meth:`validate` over a rank-addressable population, building only the drawn entries.
 
-        ``policies`` is an iterable of *pre-filtered* eligible entries (the
-        same ``present and link_valid`` predicate :meth:`validate` applies)
-        and ``population_size`` their total count, learned in a prior
-        counting pass.  Byte-identical to :meth:`validate` on the
-        materialized list: ``random.sample`` selects by index only, so
-        sampling ``range(n)`` draws the same positions in the same order —
-        the report's cases come out in selection order either way, without
-        the eligible population ever being resident at once.
+        ``eligible(rank)`` answers :meth:`validate`'s ``present and
+        link_valid`` predicate for ranks ``0 .. ranks-1`` without building
+        anything; ``entry_at(rank)`` builds one ``(bot_name, spec, text)``
+        entry.  A first probe pass counts the eligible ranks; the sample is
+        drawn as ``random.sample(range(count), k)``, which selects by index
+        exactly as sampling the materialized list does, so the same
+        positions come out in the same order; a second probe pass maps the
+        drawn ordinals to ranks and stops at the last one.  Only the drawn
+        entries are built, and memory is O(sample), not O(population).
         """
-        if population_size <= sample_size:
-            return self._score(list(policies))
-        chosen = self._rng.sample(range(population_size), sample_size)
+        count = sum(1 for rank in range(ranks) if eligible(rank))
+        chosen = self._rng.sample(range(count), sample_size) if count > sample_size else range(count)
         slots = {ordinal: slot for slot, ordinal in enumerate(chosen)}
-        selected: list[tuple[str, PolicySpec, str] | None] = [None] * len(chosen)
-        for ordinal, entry in enumerate(policies):
-            slot = slots.get(ordinal)
-            if slot is not None:
-                selected[slot] = entry
-        return self._score([entry for entry in selected if entry is not None])
+        drawn = [0] * len(slots)
+        ordinal = 0
+        for rank in range(ranks):
+            if not slots:
+                break
+            if eligible(rank):
+                slot = slots.pop(ordinal, None)
+                if slot is not None:
+                    drawn[slot] = rank
+                ordinal += 1
+        return self._score([entry_at(rank) for rank in drawn])
 
     def _score(self, population: list[tuple[str, PolicySpec, str]]) -> ValidationReport:
         report = ValidationReport()

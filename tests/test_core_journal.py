@@ -7,14 +7,23 @@ maximal valid prefix and count (never trust) the rest.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import journal as journal_module
 from repro.core.journal import (
+    JournalRecord,
     StageRecorder,
     UnitTracker,
     WriteAheadJournal,
+    _canonical,
+    _digest,
     record_resume_provenance,
 )
 from repro.core.resilience import FaultLedger
@@ -295,3 +304,123 @@ def test_resume_provenance_uses_reserved_stage(tmp_path) -> None:
     assert ledger.records[0].stage == "journal"
     assert ledger.records[0].error_class == "JournalRecovery"
     assert "something happened" in ledger.records[0].detail
+
+
+# -- pending without a scan, and the one-encode line ---------------------------
+
+STAGES = ("crawl", "traceability", "code")
+
+
+def full_scan(path: Path, stage: str) -> list[JournalRecord]:
+    """The reference ``pending``: read the whole file, keep ``stage``'s records of its valid prefix."""
+    kept: list[JournalRecord] = []
+    if not path.exists():
+        return kept
+    expected = 1
+    # Whatever follows the last newline is an unterminated, torn line.
+    for line in path.read_bytes().split(b"\n")[:-1]:
+        try:
+            payload = json.loads(line.decode("utf-8"))
+            seq, name, key, body, sha = (payload[field] for field in ("seq", "stage", "key", "body", "sha"))
+        except (ValueError, KeyError, TypeError):
+            break
+        if seq != expected or not isinstance(body, dict):
+            break
+        blob = json.dumps({"seq": seq, "stage": name, "key": key, "body": body}, sort_keys=True, separators=(",", ":"))
+        if sha != hashlib.sha256(blob.encode("utf-8")).hexdigest():
+            break
+        if name == stage:
+            kept.append(JournalRecord(seq=seq, stage=name, key=key, body=body))
+        expected += 1
+    return kept
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(STAGES), st.integers(min_value=0, max_value=99)),
+        st.tuples(st.just("reopen"), st.just(0), st.just(0)),
+        st.tuples(st.just("tear"), st.just(0), st.integers(min_value=1, max_value=400)),
+        st.tuples(st.just("flip"), st.integers(min_value=1, max_value=255), st.integers(min_value=0, max_value=10**6)),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations)
+def test_pending_matches_a_full_scan(steps) -> None:
+    """Through appends, reopens, torn tails and flipped bytes, ``pending``
+    returns exactly what a scan of the whole file finds, for every stage."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "wal"
+        journal = WriteAheadJournal(path)
+        try:
+            for kind, first, second in steps:
+                if kind == "append":
+                    journal.append(first, f"unit-{second}", {"value": second, "note": "ü"})
+                elif kind == "reopen":
+                    journal.close()
+                    journal = WriteAheadJournal(path)
+                elif kind == "tear" and path.exists():
+                    # A crash tears the tail; the next process reopens the journal.
+                    journal.close()
+                    data = path.read_bytes()
+                    path.write_bytes(data[: max(len(data) - second, 0)])
+                    journal = WriteAheadJournal(path)
+                elif kind == "flip" and path.exists() and path.stat().st_size:
+                    # Bit rot under the open journal, as the disk-fault shim injects it.
+                    data = bytearray(path.read_bytes())
+                    data[second % len(data)] ^= first
+                    path.write_bytes(bytes(data))
+                for stage in STAGES:
+                    assert journal.pending(stage) == full_scan(path, stage), (kind, stage)
+        finally:
+            journal.close()
+
+
+def test_pending_of_a_stage_never_written_reads_no_file(tmp_path, monkeypatch) -> None:
+    opened: list = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    journal = WriteAheadJournal(tmp_path / "wal")
+    monkeypatch.setattr(journal_module, "open", spy, raising=False)
+    assert journal.pending("crawl") == []
+    journal.append("crawl", "page-1", {"value": 1})
+    assert journal.pending("traceability") == []
+    assert opened == []
+    # A stage with records is still read from the file.
+    assert [record.key for record in journal.pending("crawl")] == ["page-1"]
+    assert opened
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text(min_size=1),
+    st.lists(st.tuples(st.text(), st.dictionaries(st.text(), json_values, max_size=4)), min_size=1, max_size=4),
+)
+def test_append_writes_the_canonical_payload_line(stage, records) -> None:
+    """Each appended line equals ``_canonical`` of the payload dict carrying
+    ``_digest``'s sha, for any body, non-ASCII keys and values included."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "wal"
+        journal = WriteAheadJournal(path, fsync_every=0)
+        for key, body in records:
+            journal.append(stage, key, body)
+        journal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+    expected = [
+        (_canonical({"seq": seq, "stage": stage, "key": key, "body": body, "sha": _digest(seq, stage, key, body)})
+         + "\n").encode("utf-8")
+        for seq, (key, body) in enumerate(records, start=1)
+    ]
+    assert lines == expected

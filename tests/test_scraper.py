@@ -1,6 +1,7 @@
 """Tests for the measurement scraper against the virtual sites."""
 
 import collections
+import pickle
 
 import pytest
 
@@ -8,10 +9,11 @@ from repro.botstore.host import StoreDefenses, build_store_host
 from repro.core.journal import StageRecorder, UnitTracker, WriteAheadJournal
 from repro.core.resilience import FaultLedger
 from repro.core.supervision import QuarantineLog
+from repro.discordsim.permissions import Permission, Permissions
 from repro.ecosystem.generator import EcosystemConfig, InviteStatus, generate_ecosystem
 from repro.scraper import GitHubScraper, PermissionStatus, TopGGScraper, WebsiteScraper, try_locators
 from repro.scraper.base import ScraperConfig
-from repro.scraper.topgg import TOPGG_BASE, scraped_bot_from_dict, scraped_bot_to_dict
+from repro.scraper.topgg import TOPGG_BASE, ScrapedBot, scraped_bot_from_dict, scraped_bot_to_dict
 from repro.sites.botwebsites import BotWebsiteBuilder
 from repro.sites.discordweb import DiscordWebsite
 from repro.sites.github import GitHubSite
@@ -121,6 +123,31 @@ class TestScrapedBotCodec:
         original = result.bots[0]
         restored = scraped_bot_from_dict(scraped_bot_to_dict(original))
         assert restored == original
+
+    def test_permissions_follow_reassigned_names(self):
+        bot = _listing(("administrator",))
+        assert bot.permissions == Permissions.of(Permission.ADMINISTRATOR)
+        bot.permission_names = ("send messages", "read messages")  # as invite resolution reassigns them
+        assert bot.permissions == Permissions.of(Permission.SEND_MESSAGES, Permission.VIEW_CHANNEL)
+        bot.permission_names = ()
+        assert bot.permissions == Permissions.none()
+
+    def test_parsed_permissions_stay_out_of_repr_equality_and_codecs(self):
+        parsed, fresh = _listing(("administrator", "send messages")), _listing(("administrator", "send messages"))
+        value = parsed.permissions
+        assert repr(parsed) == repr(fresh) and parsed == fresh
+        assert scraped_bot_to_dict(parsed) == scraped_bot_to_dict(fresh)
+        assert scraped_bot_from_dict(scraped_bot_to_dict(parsed)).permissions == value
+        # Shard buckets travel to worker processes pickled.
+        assert pickle.loads(pickle.dumps(parsed)).permissions == value
+
+
+def _listing(permission_names: tuple[str, ...]) -> ScrapedBot:
+    return ScrapedBot(
+        listing_id=1, name="Bot1", developer_tag="dev#0001", tags=(), description="", guild_count=1, votes=1,
+        invite_url=None, website_url=None, github_url=None, built_with=None,
+        permission_status=PermissionStatus.VALID, permission_names=permission_names,
+    )
 
 
 def _journaled_crawl(eco, wal, **crawl_args):
