@@ -135,6 +135,10 @@ class WriteAheadJournal:
         self._file = DurableAppendFile(self.path, label="journal", fsync_every=fsync_every)
         self._truncated = False
         _, valid, self._valid_bytes, dropped, self._stages = self._scan(None)
+        #: Whether ``_stages`` names every stage a scan could find.  Not
+        #: while an invalid tail is still on disk: a byte that rots back
+        #: can make its records valid again.  The first append truncates it.
+        self._stages_complete = not dropped
         self._next_seq = valid + 1
         if dropped:
             self.stats.discarded += dropped
@@ -206,8 +210,10 @@ class WriteAheadJournal:
         happen per unit, so the scan cost lands on the rare path and the
         hot path stays O(1) memory over a million-bot run.  The scan keeps
         only ``stage``'s records, verifying every other record on the way.
+        Until the first append truncates an invalid tail found at open,
+        every call scans.
         """
-        if stage not in self._stages:
+        if stage not in self._stages and self._stages_complete:
             return []
         self._file.flush()
         return self._scan(stage)[0]
@@ -229,6 +235,7 @@ class WriteAheadJournal:
         if not self._truncated:
             self._file.truncate_to(self._valid_bytes)
             self._truncated = True
+            self._stages_complete = True
         half = max(len(line) // 2, 1)
         self._file.write(line[:half])
         self._file.flush()

@@ -22,8 +22,8 @@ from repro.discordsim.permissions import (
     Permission,
     PermissionOverwrite,
     Permissions,
-    compute_base_permissions,
-    compute_channel_permissions,
+    _base_bits,
+    _channel_bits,
 )
 from repro.discordsim.snowflake import SnowflakeGenerator
 
@@ -316,22 +316,34 @@ class Guild:
 
     def base_permissions(self, user_id: int) -> Permissions:
         """Guild-level permissions for a member (Discord's algorithm)."""
-        member = self.member(user_id)
-        role_permissions = [self.everyone_role.permissions]
-        role_permissions += [self.roles[role_id].permissions for role_id in member.role_ids if role_id in self.roles]
-        return compute_base_permissions(role_permissions, is_owner=user_id == self.owner_id)
+        return Permissions(self._base_bits(self.member(user_id), user_id))
 
     def permissions_in(self, user_id: int, channel_id: int) -> Permissions:
-        """Channel-level permissions after overwrites."""
+        """Channel-level permissions after overwrites.
+
+        The same resolution as :func:`compute_channel_permissions` over
+        :meth:`base_permissions`, run on plain ints with one member lookup
+        and one ``Permissions`` built at the end.  Nothing is cached:
+        ``role_ids`` and ``overwrites`` are read on every call, so mutating
+        them directly is always seen.
+        """
         member = self.member(user_id)
-        channel = self.channel(channel_id)
-        base = self.base_permissions(user_id)
-        everyone_overwrite = channel.overwrites.get(self.everyone_role.role_id)
-        role_overwrites = [
-            channel.overwrites[role_id] for role_id in member.role_ids if role_id in channel.overwrites
-        ]
-        member_overwrite = channel.overwrites.get(user_id)
-        return compute_channel_permissions(base, everyone_overwrite, role_overwrites, member_overwrite)
+        overwrites = self.channel(channel_id).overwrites
+        value = self._base_bits(member, user_id)
+        if overwrites:  # none leave the base as it is
+            value = _channel_bits(
+                value,
+                overwrites.get(self.everyone_role.role_id),
+                [overwrites[role_id] for role_id in member.role_ids if role_id in overwrites],
+                overwrites.get(user_id),
+            )
+        return Permissions(value)
+
+    def _base_bits(self, member: Member, user_id: int) -> int:
+        roles = self.roles
+        role_values = [roles[role_id].permissions.value for role_id in member.role_ids if role_id in roles]
+        role_values.append(self.everyone_role.permissions.value)
+        return _base_bits(role_values, user_id == self.owner_id)
 
     def set_channel_overwrite(self, actor_id: int, channel_id: int, overwrite: PermissionOverwrite) -> None:
         if actor_id != self.owner_id and not self.base_permissions(actor_id).has(Permission.MANAGE_ROLES):

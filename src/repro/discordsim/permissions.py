@@ -249,17 +249,16 @@ class Permissions:
     # -- algebra ------------------------------------------------------------------
 
     def union(self, other: "Permissions | Permission | int") -> "Permissions":
-        return Permissions(self.value | Permissions(other).value)
+        return Permissions(self.value | _bits(other))
 
     def intersection(self, other: "Permissions | Permission | int") -> "Permissions":
-        return Permissions(self.value & Permissions(other).value)
+        return Permissions(self.value & _bits(other))
 
     def difference(self, other: "Permissions | Permission | int") -> "Permissions":
-        return Permissions(self.value & ~Permissions(other).value)
+        return Permissions(self.value & ~_bits(other))
 
     def is_subset(self, other: "Permissions | Permission | int") -> bool:
-        other_value = Permissions(other).value
-        return (self.value & other_value) == self.value
+        return (self.value & _bits(other)) == self.value
 
     __or__ = union
     __and__ = intersection
@@ -292,6 +291,16 @@ class Permissions:
         return f"Permissions({self.value}: {names})"
 
 
+def _bits(operand: "Permissions | Permission | int") -> int:
+    """An algebra operand's bits as a plain int, without wrapping it.
+
+    An int operand may carry bits outside the defined flags.  They cannot
+    reach a result: ``self.value`` holds none, so only a union could pass
+    them on, and its result goes through the constructor's mask.
+    """
+    return operand.value if isinstance(operand, Permissions) else int(operand)
+
+
 #: Convenience constant used across the ecosystem generator.
 ALL_PERMISSIONS = Permissions.all()
 
@@ -305,7 +314,7 @@ class PermissionOverwrite:
     deny: Permissions = field(default_factory=Permissions.none)
 
     def apply(self, base: Permissions) -> Permissions:
-        return (base - self.deny) | self.allow
+        return Permissions(_overwrite(base.value, self.allow.value, self.deny.value))
 
 
 def compute_base_permissions(member_role_permissions: Iterable[Permissions], is_owner: bool = False) -> Permissions:
@@ -314,14 +323,7 @@ def compute_base_permissions(member_role_permissions: Iterable[Permissions], is_
     Owners and administrators resolve to :meth:`Permissions.all`, matching
     Discord's documented algorithm.
     """
-    if is_owner:
-        return Permissions.all()
-    combined = Permissions.none()
-    for role_permissions in member_role_permissions:
-        combined = combined | role_permissions
-    if combined.is_administrator:
-        return Permissions.all()
-    return combined
+    return Permissions(_base_bits((permissions.value for permissions in member_role_permissions), is_owner))
 
 
 def compute_channel_permissions(
@@ -335,17 +337,46 @@ def compute_channel_permissions(
     ADMINISTRATOR bypasses all overwrites — the property the paper calls out
     when noting that 54.86% of bots request it.
     """
-    if base.is_administrator:
-        return Permissions.all()
-    current = base
+    return Permissions(_channel_bits(base.value, everyone_overwrite, role_overwrites, member_overwrite))
+
+
+# The resolution itself, on plain ints, shared with ``Guild``: reading the
+# sets' ``value`` spares the allocation of every intermediate set.
+
+
+def _base_bits(role_values: Iterable[int], is_owner: bool = False) -> int:
+    """Every bit for the owner or when a role grants ADMINISTRATOR, else
+    the union of the roles' bits."""
+    if is_owner:
+        return ALL_PERMISSIONS_VALUE
+    value = 0
+    for role_value in role_values:
+        value |= role_value
+    return ALL_PERMISSIONS_VALUE if value & _ADMINISTRATOR_BIT else value
+
+
+def _channel_bits(
+    value: int,
+    everyone_overwrite: PermissionOverwrite | None,
+    role_overwrites: Iterable[PermissionOverwrite],
+    member_overwrite: PermissionOverwrite | None,
+) -> int:
+    """ADMINISTRATOR bypasses every overwrite; otherwise the @everyone
+    overwrite, the union of the role overwrites, then the member overwrite."""
+    if value & _ADMINISTRATOR_BIT:
+        return ALL_PERMISSIONS_VALUE
     if everyone_overwrite is not None:
-        current = everyone_overwrite.apply(current)
-    allow = Permissions.none()
-    deny = Permissions.none()
+        value = _overwrite(value, everyone_overwrite.allow.value, everyone_overwrite.deny.value)
+    allow = deny = 0
     for overwrite in role_overwrites:
-        allow = allow | overwrite.allow
-        deny = deny | overwrite.deny
-    current = (current - deny) | allow
+        allow |= overwrite.allow.value
+        deny |= overwrite.deny.value
+    value = _overwrite(value, allow, deny)
     if member_overwrite is not None:
-        current = member_overwrite.apply(current)
-    return current
+        value = _overwrite(value, member_overwrite.allow.value, member_overwrite.deny.value)
+    return value
+
+
+def _overwrite(value: int, allow: int, deny: int) -> int:
+    """One overwrite step: the denied bits cleared, then the allowed set."""
+    return (value & ~deny) | allow

@@ -164,6 +164,14 @@ class CrawlResult:
         return self._active
 
 
+class _ListPageUnreachable(Exception):
+    """A list page failed again after its host's open circuit was waited out."""
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(str(error))
+        self.error = error
+
+
 class TopGGScraper(PoliteScraper):
     """Crawl the listing site end to end."""
 
@@ -179,17 +187,22 @@ class TopGGScraper(PoliteScraper):
 
         With ``on_fault``, the crawl degrades instead of crashing: a bot
         whose detail page dies is skipped (reported with ``bots_skipped=1``),
-        a dead list page abandons pagination (remaining bots unknown), and
-        captcha budget exhaustion aborts the crawl — each reported through
-        the callback.  Without it, exceptions propagate as before.
+        a list page still unreachable after its host's circuit cooled down
+        is skipped like a malformed one (its bots are lost), a list page
+        that cannot be loaded otherwise (its host still down after a second
+        cool-down, its retries spent or refused) ends pagination (remaining
+        bots unknown), and captcha budget exhaustion aborts the crawl —
+        each reported through the callback.  Without it, exceptions propagate
+        as before.  List-page retries are described in
+        :meth:`_scrape_list_page_retrying`.
 
         With a ``recorder`` (a :class:`~repro.core.journal.StageRecorder`),
         every page iteration the loop *advances past* — parsed pages and
-        malformed-but-skipped pages alike — commits one write-ahead record,
-        and a resumed crawl replays those records instead of re-fetching.
-        Iterations that end the crawl (pagination 404, abandonment, captcha
-        exhaustion) are never journaled: they re-execute deterministically
-        against the replayed world state.
+        skipped (malformed or unreachable) pages alike — commits one
+        write-ahead record, and a resumed crawl replays those records
+        instead of re-fetching.  Iterations that end the crawl (pagination
+        404, abandonment, captcha exhaustion) are never journaled: they
+        re-execute deterministically against the replayed world state.
         """
         from repro.core.crashpoints import crashpoint
 
@@ -213,13 +226,19 @@ class TopGGScraper(PoliteScraper):
                     page_number += 1
                     continue
                 recorder.begin_unit()
+            lost = ("MalformedPage", "unparseable")  # why a skipped page's bots are lost
             try:
-                listing_ids = self._scrape_list_page(page_number)
+                listing_ids = self._scrape_list_page_retrying(page_number)
             except CaptchaBudgetExhaustedError as error:
                 if on_fault is None:
                     raise
                 on_fault(TOPGG_HOST, error, 0, f"captcha budget exhausted on list page {page_number}; crawl aborted")
                 break
+            except _ListPageUnreachable as unreachable:
+                if on_fault is None:
+                    raise unreachable.error
+                listing_ids = []
+                lost = (unreachable.error, "unreachable after its host's circuit cooled down")
             except (WebDriverException, NetworkError) as error:
                 if on_fault is None:
                     raise
@@ -228,12 +247,14 @@ class TopGGScraper(PoliteScraper):
             if listing_ids is None:
                 break
             if not listing_ids:
-                # Status-200 page with no parseable bot links: mangled HTML.
+                # A status-200 page with no parseable bot links (mangled
+                # HTML), or one the transport never delivered.
                 if on_fault is None:
                     break
-                on_fault(TOPGG_HOST, "MalformedPage", 0, f"list page {page_number} unparseable; its bots are lost")
+                error, reason = lost
+                on_fault(TOPGG_HOST, error, 0, f"list page {page_number} {reason}; its bots are lost")
                 if recorder is not None:
-                    # The loop advances past a malformed page, so it must be
+                    # The loop advances past a skipped page, so it must be
                     # journaled (with its fault delta) or resumed keys drift.
                     recorder.commit(f"page-{page_number}", {"bots": [], "traversed": 0})
                     crashpoint("crawl.after_page")
@@ -283,6 +304,49 @@ class TopGGScraper(PoliteScraper):
         return result
 
     # -- list pages -------------------------------------------------------------
+
+    def _scrape_list_page_retrying(self, page_number: int) -> list[int] | None:
+        """:meth:`_scrape_list_page`, retried through transport faults.
+
+        Each retry is paid from the stage retry budget and backed off with
+        the retry policy.  A failure the host's circuit breaker counts is
+        retried until the breaker opens; :meth:`fetch` then waits out its
+        cool-down, and if the attempt after that wait fails too the page
+        raises :class:`_ListPageUnreachable` (the crawl skips it).  If the
+        breaker was already open when the page began (the previous page's
+        failed probe, or its detail pages, opened it), that cool-down was
+        the host's second chance and the attempt's own error propagates:
+        the crawl ends pagination, so a dead host costs at most one
+        skipped page.  A failure the breaker cannot count (a timeout, a
+        robots refusal) is retried only as often as the retry policy
+        allows.  The error also propagates when the budget refuses a
+        retry, or the scraper has no budget to pay one from.
+        """
+        from repro.core.resilience import CircuitOpenError
+
+        attempt = 0
+        while True:
+            # An open breaker: this attempt's fetch first waits out its cool-down.
+            after_cool_down = self.breakers is not None and TOPGG_HOST in self.breakers.open_hosts()
+            counted_before = self.stats.faults_absorbed
+            try:
+                return self._scrape_list_page(page_number)
+            except CaptchaBudgetExhaustedError:
+                raise
+            except (WebDriverException, NetworkError) as error:
+                if isinstance(error, CircuitOpenError):
+                    raise  # the budget refused to wait out the open circuit
+                if after_cool_down:
+                    if attempt == 0:
+                        raise  # open before this page: a second cool-down lost
+                    raise _ListPageUnreachable(error) from error
+                # Counted: the attempt noted a transport failure on the breaker.
+                counted = self.breakers is not None and self.stats.faults_absorbed > counted_before
+                retries = self.breakers.failure_threshold if counted else self.retry_policy.max_attempts
+                if self.retry_budget is None or attempt >= retries or not self._spend_retry():
+                    raise
+            self.internet.clock.sleep(self.retry_policy.delay(attempt, self._rng))
+            attempt += 1
 
     def _scrape_list_page(self, page_number: int) -> list[int] | None:
         """Return listing ids on one page.

@@ -175,14 +175,19 @@ class VirtualInternet(TouchedKeys):
     """Routes requests to registered hosts under simulated conditions.
 
     The ethics note in the paper (crawl "at a rate that does not create any
-    disruption") is auditable here: :attr:`log` records every exchange with
-    its simulated timestamp.  Its touched keys are the hostnames whose
-    host handled a request.
+    disruption") is auditable here: :attr:`log` is a ring of the most
+    recent exchanges (1,024 by default) with their simulated timestamps,
+    while the counters (``exchanges_completed``, ``exchanges_failed``,
+    ``log_dropped``) and :meth:`request_rate`'s per-client history cover
+    every exchange.  Code that needs every record subscribes with
+    :meth:`add_observer`.  Its touched keys are the hostnames whose host
+    handled a request.
     """
 
-    #: Default bound on the exchange log (chaos benches generate millions of
-    #: exchanges; auditing only ever needs a recent window).
-    DEFAULT_LOG_LIMIT = 100_000
+    #: Default bound on the exchange log: a recent window for auditing and
+    #: tests, too small to count in a run's memory.  The counters and the
+    #: per-client rate history do not depend on it.
+    DEFAULT_LOG_LIMIT = 1_024
     #: Per-client timestamp history kept for :meth:`request_rate`.
     DEFAULT_RATE_HISTORY = 10_000
     #: Bound on hosts built on demand by resolvers: past this, the coldest

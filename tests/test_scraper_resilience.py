@@ -3,15 +3,22 @@ captcha budget exhaustion and circuit breakers."""
 
 import pytest
 
+from repro.botstore import PAGE_SIZE
 from repro.botstore.host import StoreDefenses, build_store_host
-from repro.core.resilience import CircuitBreakerRegistry, CircuitOpenError, RetryBudget
+from repro.core.config import PipelineConfig
+from repro.core.journal import StageRecorder, UnitTracker, WriteAheadJournal
+from repro.core.resilience import CircuitBreakerRegistry, CircuitOpenError, FaultLedger, RetryBudget
+from repro.core.supervision import QuarantineLog
 from repro.ecosystem.generator import EcosystemConfig, generate_ecosystem
 from repro.scraper.base import CaptchaBudgetExhaustedError, PoliteScraper, ScraperConfig
-from repro.scraper.topgg import TopGGScraper
+from repro.scraper.topgg import TOPGG_HOST, TopGGScraper
 from repro.sites.discordweb import DiscordWebsite
+from repro.web.browser import WebDriverException
 from repro.web.captcha import TwoCaptchaClient
+from repro.web.chaos import FaultSchedule
+from repro.web.client import RequestTimeoutError
 from repro.web.http import Response
-from repro.web.network import ConnectionFailedError
+from repro.web.network import ConnectionFailedError, VirtualClock, VirtualInternet
 from repro.web.server import VirtualHost
 
 
@@ -146,6 +153,251 @@ class TestCrawlDegradation:
         scraper = TopGGScraper(internet, solver=broke_solver)
         with pytest.raises(CaptchaBudgetExhaustedError):
             scraper.crawl(resolve_permissions=False)
+
+
+class StoreOutage(FaultSchedule):
+    """Drops every connection to the store for ``duration`` virtual seconds
+    from the first request for list page ``page``.  With ``page_only``,
+    only that page's requests fail, and for good."""
+
+    def __init__(self, page: int, duration: float = float("inf"), page_only: bool = False) -> None:
+        super().__init__("calm")
+        self.page_query = f"page={page}"
+        self.duration = duration
+        self.page_only = page_only
+        self.start = None
+
+    def intercept(self, request, now):
+        url = request.url
+        if url.host == TOPGG_HOST:
+            on_page = url.path == "/list/top" and url.query == self.page_query
+            if self.start is None and on_page:
+                self.start = now
+            if self.start is not None and now < self.start + self.duration and (on_page or not self.page_only):
+                raise ConnectionFailedError(f"{TOPGG_HOST} (outage)")
+        return super().intercept(request, now)
+
+
+class SlowListPage(FaultSchedule):
+    """Times out every request for list page ``page``: slow, not dead."""
+
+    def __init__(self, page: int) -> None:
+        super().__init__("calm")
+        self.page_query = f"page={page}"
+
+    def intercept(self, request, now):
+        url = request.url
+        if url.host == TOPGG_HOST and url.path == "/list/top" and url.query == self.page_query:
+            raise RequestTimeoutError(str(url), 10.0)
+        return super().intercept(request, now)
+
+
+class RobotsBarTheList(FaultSchedule):
+    """Serves the store a robots.txt that disallows its list pages."""
+
+    def __init__(self) -> None:
+        super().__init__("calm")
+
+    def intercept(self, request, now):
+        if request.url.host == TOPGG_HOST and request.url.path == "/robots.txt":
+            return Response.text("User-agent: *\nDisallow: /list/\n")
+        return super().intercept(request, now)
+
+
+class DeadListPages(FaultSchedule):
+    """Drops every request for list pages ``first`` and later, for good."""
+
+    def __init__(self, first: int) -> None:
+        super().__init__("calm")
+        self.first = first
+
+    def intercept(self, request, now):
+        url = request.url
+        if url.host == TOPGG_HOST and url.path == "/list/top" and int(url.query.partition("=")[2]) >= self.first:
+            raise ConnectionFailedError(f"{TOPGG_HOST} (list pages down)")
+        return super().intercept(request, now)
+
+
+def _journaled_dead_store_crawl(wal, max_pages=None):
+    """One crawl session in a fresh world whose list pages from 2 on are
+    dead, committing its pages to the WAL at ``wal`` as a new process would.
+
+    Returns the result, the session's ledger and its clock.
+    """
+    clock = VirtualClock()
+    internet = VirtualInternet(clock, seed=7)
+    ecosystem = generate_ecosystem(EcosystemConfig(n_bots=75, seed=31, honeypot_window=10))
+    build_store_host(ecosystem, internet, StoreDefenses(captcha_enabled=False))
+    DiscordWebsite(ecosystem).register(internet)
+    internet.install_chaos(DeadListPages(2))
+    solver = TwoCaptchaClient(clock, accuracy=1.0)
+    breakers = CircuitBreakerRegistry(clock)
+    scraper = TopGGScraper(internet, solver=solver, breakers=breakers, retry_budget=RetryBudget(500))
+    ledger = FaultLedger()
+    tracker = UnitTracker(
+        clock,
+        internet,
+        ledger,
+        QuarantineLog(),
+        breakers=breakers,
+        budget=scraper.retry_budget,
+        solver=solver,
+        scraper=scraper,
+    )
+
+    def sink(host, error, bots_skipped, detail):
+        ledger.record("crawl", host, error, clock.now(), bots_skipped=bots_skipped, detail=detail)
+
+    journal = WriteAheadJournal(wal)
+    try:
+        result = scraper.crawl(
+            max_pages=max_pages,
+            resolve_permissions=False,
+            on_fault=sink,
+            recorder=StageRecorder(journal, "crawl", tracker, ledger),
+        )
+    finally:
+        journal.close()
+    return result, ledger, clock
+
+
+class TestListPageFaults:
+    """A list page lost to a transport fault is retried, then skipped once
+    its host's breaker has cooled down; a second lost cool-down, a refused
+    retry, or retries of a fault the breaker cannot count end pagination."""
+
+    PAGES = 3  # the 75-bot store
+
+    def _crawl(self, store_world, clock, outage=None, budget=500):
+        _, internet, solver = store_world
+        if outage is not None:
+            internet.install_chaos(outage)
+        scraper = TopGGScraper(
+            internet,
+            solver=solver,
+            breakers=CircuitBreakerRegistry(clock),
+            retry_budget=RetryBudget(budget),
+        )
+        records = []
+        result = scraper.crawl(resolve_permissions=False, on_fault=_recording_sink(records))
+        return scraper, result, records
+
+    @pytest.mark.parametrize(
+        ("duration", "page_lost"),
+        [
+            (20.0, False),  # over within the backoff
+            (90.0, False),  # trips the breaker; its cool-down is waited out
+            (400.0, True),  # outlasts the cool-down: the probe after it fails
+        ],
+    )
+    @pytest.mark.parametrize("page", range(1, PAGES + 1))
+    def test_an_outage_on_any_list_page_loses_no_later_page(self, store_world, clock, page, duration, page_lost):
+        ecosystem, _, _ = store_world
+        _, result, records = self._crawl(store_world, clock, StoreOutage(page, duration))
+        collected = {bot.listing_id for bot in result.bots}
+        for number in range(1, self.PAGES + 1):
+            listed = {bot.index for bot in ecosystem.bots[(number - 1) * PAGE_SIZE : number * PAGE_SIZE]}
+            if number == page and page_lost:
+                assert not listed & collected
+            else:
+                assert listed <= collected, f"page {number} lost to an outage on page {page}"
+        details = [detail for *_, detail in records]
+        if page_lost:
+            assert details == [f"list page {page} unreachable after its host's circuit cooled down; its bots are lost"]
+        else:
+            assert details == []
+            assert result.pages_traversed == self.PAGES
+
+    @pytest.mark.parametrize("page", range(1, PAGES + 1))
+    def test_a_page_still_dead_after_the_cool_down_is_skipped(self, store_world, clock, page):
+        ecosystem, _, _ = store_world
+        scraper, result, records = self._crawl(store_world, clock, StoreOutage(page, page_only=True))
+        assert len(records) == 1
+        host, error, skipped, detail = records[0]
+        assert (host, skipped) == (TOPGG_HOST, 0)
+        assert "circuit cooled down; its bots are lost" in detail
+        assert isinstance(error.__cause__, ConnectionFailedError)
+        assert result.pages_traversed == self.PAGES - 1
+        assert len(result.bots) == len(ecosystem.bots) - PAGE_SIZE
+        # The skip came after the breaker tripped and its cool-down passed.
+        assert scraper.breakers.breaker(TOPGG_HOST).times_opened >= 1
+
+    def test_a_page_still_dead_without_a_sink_raises_its_transport_error(self, store_world, clock):
+        _, internet, solver = store_world
+        internet.install_chaos(StoreOutage(2, page_only=True))
+        scraper = TopGGScraper(
+            internet, solver=solver, breakers=CircuitBreakerRegistry(clock), retry_budget=RetryBudget(500)
+        )
+        with pytest.raises(WebDriverException) as raised:
+            scraper.crawl(resolve_permissions=False)
+        assert isinstance(raised.value.__cause__, ConnectionFailedError)
+
+    def test_a_refused_retry_ends_pagination(self, store_world, clock):
+        _, result, records = self._crawl(store_world, clock, StoreOutage(2), budget=2)
+        assert [detail for *_, detail in records] == ["list page 2 unreachable; pagination abandoned"]
+        assert len(result.bots) == PAGE_SIZE
+
+    @pytest.mark.parametrize("page", range(1, PAGES + 1))
+    def test_a_dead_host_ends_pagination_at_the_next_page(self, store_world, clock, page):
+        # The pipeline's defaults: a budget large enough that only the
+        # breaker's cycle can stop the crawl, and no page limit.
+        config = PipelineConfig()
+        _, internet, solver = store_world
+        internet.install_chaos(StoreOutage(page))
+        scraper = TopGGScraper(
+            internet,
+            solver=solver,
+            breakers=CircuitBreakerRegistry(
+                clock,
+                failure_threshold=config.circuit_failure_threshold,
+                recovery_time=config.circuit_recovery_time,
+            ),
+            retry_budget=RetryBudget(config.stage_retry_budget),
+        )
+        records = []
+        started = clock.now()
+        result = scraper.crawl(
+            max_pages=config.max_pages, resolve_permissions=False, on_fault=_recording_sink(records)
+        )
+        # The page the host died on is skipped after one cool-down; the
+        # next page began under the breaker its probe re-opened, and a
+        # second lost cool-down ends pagination there.
+        assert [detail for *_, detail in records] == [
+            f"list page {page} unreachable after its host's circuit cooled down; its bots are lost",
+            f"list page {page + 1} unreachable; pagination abandoned",
+        ]
+        assert len(result.bots) == (page - 1) * PAGE_SIZE
+        assert clock.now() - started < 3 * config.circuit_recovery_time
+        assert scraper.retry_budget.spent <= 2 * config.circuit_failure_threshold
+
+    def test_a_resumed_crawl_stops_where_an_uninterrupted_one_does(self, tmp_path):
+        control, control_ledger, control_clock = _journaled_dead_store_crawl(tmp_path / "control.wal")
+        assert [record.detail for record in control_ledger.records] == [
+            "list page 2 unreachable after its host's circuit cooled down; its bots are lost",
+            "list page 3 unreachable; pagination abandoned",
+        ]
+        wal = tmp_path / "crawl.wal"
+        # The first session ends right after committing the skipped page; the
+        # second replays it, breaker state included, and decides page 3 alike.
+        _journaled_dead_store_crawl(wal, max_pages=2)
+        resumed, ledger, clock = _journaled_dead_store_crawl(wal)
+        assert [record.to_dict() for record in ledger.records] == [
+            record.to_dict() for record in control_ledger.records
+        ]
+        assert resumed.bots == control.bots
+        assert clock.now() == control_clock.now()
+
+    @pytest.mark.parametrize(
+        ("faults", "page"),
+        [(SlowListPage(2), 2), (RobotsBarTheList(), 1)],
+        ids=["timeout", "robots"],
+    )
+    def test_a_failure_the_breaker_cannot_count_gets_the_policy_retries(self, store_world, clock, faults, page):
+        scraper, result, records = self._crawl(store_world, clock, faults)
+        assert [detail for *_, detail in records] == [f"list page {page} unreachable; pagination abandoned"]
+        assert scraper.retry_budget.spent == scraper.retry_policy.max_attempts
+        assert scraper.breakers.breaker(TOPGG_HOST).times_opened == 0
+        assert len(result.bots) == (page - 1) * PAGE_SIZE
 
 
 # -- circuit breakers in the fetch path -------------------------------------
