@@ -11,8 +11,11 @@ bots, and holds two bars:
 * the comparable result JSON of a full streamed pipeline run at paper
   scale is byte-identical to the materialized session golden.
 
-Each sweep runs in a subprocess so ``ru_maxrss`` measures that sweep
-alone, not whatever the benchmark session allocated before it.
+Each sweep runs in a subprocess and reports its own ``VmHWM`` (from
+``/proc/self/status``), so the figure is that sweep's alone.  Not
+``ru_maxrss``: getrusage(2) keeps a process's maximum across ``execve``,
+so a child started late in a benchmark session would report the
+session's peak.
 """
 
 from __future__ import annotations
@@ -43,18 +46,20 @@ STREAM_SCALES = (
 STREAM_RSS_CEILING_KB = 64 * 1024
 
 _SWEEP = """
-import json, resource, sys, time
+import json, sys, time
 from repro.ecosystem.stream import iter_bots
 n = int(sys.argv[1])
 t0 = time.perf_counter()
 count = sum(1 for _ in iter_bots(seed=2022, n_bots=n))
 wall = time.perf_counter() - t0
 assert count == n
+with open("/proc/self/status", encoding="ascii") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(json.dumps({
     "bots": n,
     "wall_s": wall,
     "bots_per_sec": count / wall,
-    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "peak_rss_kb": peak_kb,
 }))
 """
 

@@ -18,20 +18,47 @@ from typing import Any
 from repro.ecosystem.generator import BotProfile
 
 
+def fingerprint_inputs(bot: BotProfile) -> tuple:
+    """The ten values :func:`bot_fingerprint` digests, copied out of ``bot``.
+
+    Nothing else of the profile reaches the digest, so two profiles with
+    equal inputs have equal fingerprints: every input is a string, an
+    int, a bool, an enum member, ``None`` or an immutable collection of
+    these, whose text follows from its value.  Tags and scopes are copied
+    into tuples, so later edits of the profile cannot reach a recorded
+    copy.
+    """
+    policy = bot.policy
+    return (
+        bot.name,
+        bot.permissions.value,
+        tuple(bot.scopes),
+        bot.invite_status,
+        tuple(bot.tags),
+        policy.present,
+        frozenset(policy.categories),
+        policy.link_valid,
+        bot.github_url,
+        bot.website_host,
+    )
+
+
 def bot_fingerprint(bot: BotProfile) -> str:
     """A stable digest of everything vetting actually reviews."""
+    (name, permissions, scopes, invite_status, tags, present, categories, link_valid, github_url,
+     website_host) = fingerprint_inputs(bot)
     material = "|".join(
         (
-            bot.name,
-            str(bot.permissions.value),
-            ",".join(scope.value for scope in bot.scopes),
-            bot.invite_status.value,
-            str(sorted(bot.tags)),
-            str(bot.policy.present),
-            str(sorted(bot.policy.categories)),
-            str(bot.policy.link_valid),
-            bot.github_url or "",
-            bot.website_host or "",
+            name,
+            str(permissions),
+            ",".join(scope.value for scope in scopes),
+            invite_status.value,
+            str(sorted(tags)),
+            str(present),
+            str(sorted(categories)),
+            str(link_valid),
+            github_url or "",
+            website_host or "",
         )
     )
     return f"{zlib.crc32(material.encode('utf-8')):08x}"
@@ -47,6 +74,28 @@ class CacheEntry:
     #: Set when the directory learned of an update whose re-vet has not
     #: completed yet (the stale-while-revalidate window).
     superseded: bool = False
+    #: Derived, so never persisted, compared or shown: the fingerprint's
+    #: inputs when the entry was stored or last matched (``None`` after a
+    #: restore, which carries only the digest) ...
+    inputs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: ... and the fresh-hit response body with the ``virtual_latency`` it
+    #: carries, encoded at the first fresh hit.
+    hit_body: tuple[float, str] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def matches(self, bot: BotProfile) -> bool:
+        """Whether ``bot`` still has this entry's fingerprint.
+
+        Compares the fingerprint's inputs with the recorded ones and
+        digests only when they differ; a digest that still matches (tags
+        reordered, say) records the new inputs.
+        """
+        inputs = fingerprint_inputs(bot)
+        if inputs == self.inputs:
+            return True
+        if bot_fingerprint(bot) != self.fingerprint:
+            return False
+        self.inputs = inputs
+        return True
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -97,11 +146,7 @@ class VerdictCache:
         # LRU refresh: a stale hit counts too — a verdict being served (even
         # marked stale) is still hotter than one nobody asks about.
         self.entries[bot.name] = self.entries.pop(bot.name)
-        fresh = (
-            not entry.superseded
-            and entry.fingerprint == bot_fingerprint(bot)
-            and now - entry.stored_at < self.ttl
-        )
+        fresh = not entry.superseded and now - entry.stored_at < self.ttl and entry.matches(bot)
         if fresh:
             self.hits += 1
             return ("fresh", entry)
@@ -115,6 +160,7 @@ class VerdictCache:
 
     def store(self, bot: BotProfile, payload: dict[str, Any], now: float) -> CacheEntry:
         entry = CacheEntry(payload=dict(payload), fingerprint=bot_fingerprint(bot), stored_at=now)
+        entry.inputs = fingerprint_inputs(bot)
         if bot.name in self.entries:
             # Re-store refreshes recency as well as content.
             del self.entries[bot.name]

@@ -49,7 +49,7 @@ from repro.discordsim.platform import DiscordPlatform
 from repro.ecosystem.generator import BotProfile
 from repro.serving.admission import AdmissionQueue, Bulkhead, BulkheadSaturatedError
 from repro.serving.budget import DeadlineBudget
-from repro.serving.cache import VerdictCache, bot_fingerprint
+from repro.serving.cache import CacheEntry, VerdictCache, bot_fingerprint
 from repro.serving.metrics import ServingMetrics
 from repro.serving.workers import WorkerPool, WorkerPoolPolicy
 from repro.sites.botwebsites import variant_for
@@ -271,9 +271,7 @@ class VettingService(VirtualHost):
         if cached is not None:
             freshness, entry = cached
             if freshness == "fresh":
-                payload = dict(entry.payload)
-                payload.update(cache="hit", stale=False, virtual_latency=round(budget.latency, 6))
-                return self._serve(payload, budget)
+                return self._serve_hit(entry, budget)
             if self.degraded_mode and self.policy.stale_while_revalidate:
                 # Brownout: answer from the superseded verdict now; the
                 # revalidation happens on the next healthy request.
@@ -326,11 +324,27 @@ class VettingService(VirtualHost):
         response.headers["Retry-After"] = retry_after_header(retry_after)
         return response
 
-    def _serve(self, payload: dict[str, Any], budget: DeadlineBudget) -> Response:
+    def _serve(self, payload: dict[str, Any] | str, budget: DeadlineBudget) -> Response:
+        """Settle the request and answer with ``payload``, or with a body already encoded."""
         self.queue.settle(budget.cursor)
         self.metrics.served += 1
         self.metrics.observe_latency("/vet", budget.latency)
-        return self._json(payload)
+        return Response.json(payload) if isinstance(payload, str) else self._json(payload)
+
+    def _serve_hit(self, entry: CacheEntry, budget: DeadlineBudget) -> Response:
+        """Answer a fresh hit with the body its entry's first fresh hit encoded.
+
+        The body is encoded again only when the latency it carries differs;
+        every hit charges the same lookup cost, so once rounded it rarely does.
+        """
+        latency = round(budget.latency, 6)
+        if entry.hit_body is not None and entry.hit_body[0] == latency:
+            return self._serve(entry.hit_body[1], budget)
+        payload = dict(entry.payload)
+        payload.update(cache="hit", stale=False, virtual_latency=latency)
+        response = self._serve(payload, budget)
+        entry.hit_body = (latency, response.body)
+        return response
 
     @staticmethod
     def _cacheable(payload: dict[str, Any]) -> dict[str, Any]:

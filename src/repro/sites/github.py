@@ -11,7 +11,7 @@ from collections import defaultdict
 
 from repro.ecosystem.generator import Ecosystem
 from repro.ecosystem.repos import RepoKind, RepoSpec
-from repro.ecosystem.stream import BLOCK, owner_block_of, rank_suffix_of
+from repro.ecosystem.stream import owner_block_of, rank_suffix_of
 from repro.web.http import Request, Response
 from repro.web.network import VirtualInternet
 from repro.web.server import VirtualHost
@@ -27,8 +27,9 @@ class GitHubSite:
 
     A materialized ecosystem is indexed up front.  A streaming one is
     decoded per request instead: repo names end with their bot's rank, and
-    owner tags encode their developer block, so one page needs at most one
-    block (512 bots) of the population — never all of it.
+    owner tags encode their developer block and index, so a repo page reads
+    one bot and a profile page only the owner's bots — never the rest of
+    the population.
     """
 
     def __init__(self, ecosystem: Ecosystem) -> None:
@@ -76,13 +77,16 @@ class GitHubSite:
         decoded = owner_block_of(owner)
         if decoded is None:
             return [], None
-        block, _ = decoded
-        start = block * BLOCK
-        if start >= len(self.ecosystem.bots):
+        block, index = decoded
+        developers, _ = self.ecosystem.stream.block(block)
+        if index >= len(developers) or developers[index].tag.split("#")[0] != owner:
+            # A misspelled owner still decodes to a block and an index.
             return [], None
         repos: list[RepoSpec] = []
         kind: RepoKind | None = None
-        for rank in range(start, min(start + BLOCK, len(self.ecosystem.bots))):
+        # Only the owner's own bots, already in rank order: the page reads
+        # a handful of profiles, not its whole block's.
+        for rank in developers[index].bot_indices:
             spec = self.ecosystem.bots[rank].github
             if spec is None or spec.owner != owner:
                 continue

@@ -127,7 +127,8 @@ class HttpClient:
         scraper classified slow invite redirect chains as invalid.
         """
         budget = timeout if timeout is not None else self.default_timeout
-        current = Url.parse(str(url))
+        # A Url is immutable, and parsing its text gives back its fields.
+        current = url if isinstance(url, Url) else Url.parse(url)
         if not current.is_absolute:
             raise ValueError(f"relative URL given to client: {url!r}")
         spent = 0.0

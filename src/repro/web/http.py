@@ -8,6 +8,7 @@ walls, 404, 429 rate limits, 5xx failures).
 
 from __future__ import annotations
 
+import functools
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -39,13 +40,16 @@ REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
 
 class Url:
-    """A parsed URL.
+    """A parsed URL, immutable once built.
 
     Only ``http``/``https`` URLs appear on the virtual internet; the scheme is
-    carried through but does not change routing behaviour.
+    carried through but does not change routing behaviour.  The text is
+    composed once per instance and the query parameters decoded on first
+    use; :meth:`parse` hands equal strings one shared instance, which is
+    why no attribute can be assigned.
     """
 
-    __slots__ = ("scheme", "host", "port", "path", "query", "fragment")
+    __slots__ = ("scheme", "host", "port", "path", "query", "fragment", "_text", "_params")
 
     def __init__(
         self,
@@ -56,40 +60,55 @@ class Url:
         query: str = "",
         fragment: str = "",
     ) -> None:
-        self.scheme = scheme
-        self.host = host
-        self.port = port
-        self.path = path or "/"
-        self.query = query
-        self.fragment = fragment
+        path = path or "/"
+        assign = object.__setattr__
+        assign(self, "scheme", scheme)
+        assign(self, "host", host)
+        assign(self, "port", port)
+        assign(self, "path", path)
+        assign(self, "query", query)
+        assign(self, "fragment", fragment)
+        port_text = f":{port}" if port else ""
+        query_text = f"?{query}" if query else ""
+        fragment_text = f"#{fragment}" if fragment else ""
+        scheme_text = f"{scheme}://" if scheme else ""
+        assign(self, "_text", f"{scheme_text}{host}{port_text}{path}{query_text}{fragment_text}")
+        assign(self, "_params", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Url is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Url is immutable")
+
+    def __reduce__(self):
+        # Rebuild through ``__init__``, as the slot-state restore would
+        # assign through the ``__setattr__`` that refuses every write.
+        return (Url, (self.scheme, self.host, self.port, self.path, self.query, self.fragment))
 
     @classmethod
     def parse(cls, raw: str) -> "Url":
-        """Parse an absolute or scheme-relative URL string."""
-        parts = urllib.parse.urlsplit(raw)
-        if not parts.netloc and not parts.scheme:
-            # A bare path such as "/bots/1" — host resolved at join time.
-            return cls(scheme="", host="", path=parts.path, query=parts.query, fragment=parts.fragment)
-        return cls(
-            scheme=parts.scheme or "https",
-            host=parts.hostname or "",
-            port=parts.port,
-            path=parts.path or "/",
-            query=parts.query,
-            fragment=parts.fragment,
-        )
+        """Parse an absolute or scheme-relative URL string (memoized)."""
+        return _parse(raw)
 
     def join(self, reference: str) -> "Url":
         """Resolve ``reference`` against this URL (RFC 3986 resolution)."""
-        return Url.parse(urllib.parse.urljoin(str(self), reference))
+        return Url.parse(urllib.parse.urljoin(self._text, reference))
 
     @property
     def is_absolute(self) -> bool:
         return bool(self.host)
 
     def query_params(self) -> dict[str, str]:
-        """Decode the query string into a flat ``dict`` (last value wins)."""
-        return dict(urllib.parse.parse_qsl(self.query, keep_blank_values=True))
+        """Decode the query string into a flat ``dict`` (last value wins).
+
+        Decoded once per instance; every call returns a dict of its own.
+        """
+        params = self._params
+        if params is None:
+            params = dict(urllib.parse.parse_qsl(self.query, keep_blank_values=True))
+            object.__setattr__(self, "_params", params)
+        return dict(params)
 
     def with_params(self, **params: str) -> "Url":
         """Return a copy with ``params`` merged into the query string."""
@@ -110,24 +129,42 @@ class Url:
         return f"{self.scheme}://{self.host}{port}"
 
     def __str__(self) -> str:
-        port = f":{self.port}" if self.port else ""
-        query = f"?{self.query}" if self.query else ""
-        fragment = f"#{self.fragment}" if self.fragment else ""
-        scheme = f"{self.scheme}://" if self.scheme else ""
-        return f"{scheme}{self.host}{port}{self.path}{query}{fragment}"
+        return self._text
 
     def __repr__(self) -> str:
-        return f"Url({str(self)!r})"
+        return f"Url({self._text!r})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Url):
-            return str(self) == str(other)
+            return self._text == other._text
         if isinstance(other, str):
-            return str(self) == other
+            return self._text == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(str(self))
+        return hash(self._text)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse(raw: str) -> Url:
+    """Parse ``raw`` once: :class:`Url` is immutable, so equal strings share it.
+
+    A vetting service answering 10^4 requests asks for about 4,100 distinct
+    URLs, and a crawl asks again for a URL within a few hundred requests of
+    its first, so 4,096 entries keep nearly every repeat.
+    """
+    parts = urllib.parse.urlsplit(raw)
+    if not parts.netloc and not parts.scheme:
+        # A bare path such as "/bots/1" — host resolved at join time.
+        return Url(scheme="", host="", path=parts.path, query=parts.query, fragment=parts.fragment)
+    return Url(
+        scheme=parts.scheme or "https",
+        host=parts.hostname or "",
+        port=parts.port,
+        path=parts.path or "/",
+        query=parts.query,
+        fragment=parts.fragment,
+    )
 
 
 class Headers:

@@ -1,0 +1,152 @@
+"""``Url``: immutable, parsed once per string (hypothesis).
+
+``Url.parse`` is memoized, so equal strings share one instance, and
+``HttpClient.request`` sends a ``Url`` as it is instead of parsing its text
+again.  Both rest on facts about ``urllib.parse`` checked here on the
+running Python: a memoized parse has the fields of an uncached one (or
+raises the same error), and parsing a ``Url``'s text gives back its fields
+for every URL form the sites, the scraper and the vetting service build.
+"""
+
+from __future__ import annotations
+
+import urllib.parse
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import AssessmentPipeline
+from repro.discordsim.oauth import OAuthScope, build_invite_url
+from repro.discordsim.permissions import ALL_PERMISSIONS_VALUE, Permissions
+from repro.ecosystem.generator import EcosystemConfig, generate_ecosystem
+from repro.serving import ServicePolicy, VettingService
+from repro.sites.botwebsites import BotWebsiteBuilder
+from repro.web import http
+from repro.web.client import HttpClient
+from repro.web.http import Url
+from repro.web.network import VirtualClock, VirtualInternet
+
+FIELDS = ("scheme", "host", "port", "path", "query", "fragment")
+
+
+def fields(url: Url) -> tuple:
+    return tuple(getattr(url, name) for name in FIELDS)
+
+
+def outcome(parse, raw: str):
+    try:
+        return ("parsed", fields(parse(raw)))
+    except ValueError as error:
+        return ("raised", type(error))
+
+
+# -- the memo gives what an uncached parse gives -------------------------------
+
+labels = st.from_regex(r"[A-Za-z0-9-]{1,8}", fullmatch=True)
+raw_hosts = st.lists(labels, min_size=1, max_size=3).map(".".join)
+raw_ports = st.one_of(st.just(""), st.integers(0, 99_999).map(lambda port: f":{port}"), st.just(":"))
+raw_paths = st.lists(st.from_regex(r"[A-Za-z0-9_.~%!$&'()*+,;=:@-]{0,8}", fullmatch=True), max_size=4).map(
+    lambda segments: "/" + "/".join(segments) if segments else ""
+)
+raw_queries = st.one_of(st.just(""), st.from_regex(r"\?[A-Za-z0-9=&%+._-]{0,16}", fullmatch=True))
+raw_fragments = st.one_of(st.just(""), st.from_regex(r"#[A-Za-z0-9_-]{0,8}", fullmatch=True))
+raw_schemes = st.sampled_from(["https://", "http://", "HTTPS://", "//", "", "about:", "mailto:"])
+
+
+@st.composite
+def raw_urls(draw) -> str:
+    scheme = draw(raw_schemes)
+    host = draw(raw_hosts) + draw(raw_ports) if scheme.endswith("//") else ""
+    return scheme + host + draw(raw_paths) + draw(raw_queries) + draw(raw_fragments)
+
+
+@settings(max_examples=400)
+@given(raw=st.one_of(raw_urls(), st.text(max_size=30)))
+def test_a_memoized_parse_equals_an_uncached_one(raw):
+    uncached = http._parse.__wrapped__
+    assert outcome(Url.parse, raw) == outcome(uncached, raw)
+    assert outcome(Url.parse, raw) == outcome(uncached, raw)  # the second parse is the memo's
+    if outcome(uncached, raw)[0] == "parsed":
+        assert Url.parse(raw) is Url.parse(raw)
+
+
+# -- parsing a Url's text gives back its fields ---------------------------------
+
+site_hosts = st.sampled_from(
+    ["top.gg.sim", "discord.sim", "github.sim", "vetting.gate", "chillbot42.botsite.sim", "reddit.sim"]
+)
+segments = st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,10}", fullmatch=True), max_size=4)
+params = st.dictionaries(
+    st.from_regex(r"[a-z_]{1,10}", fullmatch=True), st.text(max_size=8).filter(lambda text: "\x00" not in text),
+    max_size=3,
+)
+references = st.sampled_from(["/", "/privacy", "legal/privacy", "../up", "?page=2", "#top", "https://github.sim/a/b"])
+
+
+@st.composite
+def site_urls(draw) -> Url:
+    """A Url built the way the sites and clients build one: parsed, with params, joined."""
+    scheme = draw(st.sampled_from(["https", "http"]))
+    port = draw(st.sampled_from(["", ":8443"]))
+    query = urllib.parse.urlencode(draw(params))
+    raw = f"{scheme}://{draw(site_hosts)}{port}/" + "/".join(draw(segments)) + (f"?{query}" if query else "")
+    url = Url.parse(raw)
+    if draw(st.booleans()):
+        url = url.with_params(**draw(params))
+    if draw(st.booleans()):
+        url = url.join(draw(references))
+    return url
+
+
+invites = st.builds(
+    lambda client_id, bits, scopes: Url.parse(build_invite_url(client_id, Permissions(bits), scopes=scopes)),
+    st.integers(10**17, 10**18),
+    st.integers(0, ALL_PERMISSIONS_VALUE),
+    st.lists(st.sampled_from(list(OAuthScope)), min_size=1, max_size=3, unique=True).map(tuple),
+)
+
+
+@settings(max_examples=300)
+@given(url=st.one_of(site_urls(), invites))
+def test_parsing_a_urls_text_gives_back_its_fields(url):
+    assert fields(Url.parse(str(url))) == fields(url)
+
+
+@pytest.fixture(scope="module")
+def sent_urls():
+    """Every Url a small crawl and a vetting service put on the wire, and those handed to clients."""
+    sent: list[Url] = []
+    original_exchange, original_request = VirtualInternet.exchange, HttpClient.request
+
+    def exchange(internet, request):
+        sent.append(request.url)
+        return original_exchange(internet, request)
+
+    def request(client, method, url, *args, **kwargs):
+        if isinstance(url, Url):
+            sent.append(url)
+        return original_request(client, method, url, *args, **kwargs)
+
+    VirtualInternet.exchange, HttpClient.request = exchange, request
+    try:
+        AssessmentPipeline(PipelineConfig().scaled(n_bots=80, honeypot_sample_size=8)).run()
+        ecosystem = generate_ecosystem(EcosystemConfig(n_bots=60, seed=5, honeypot_window=10))
+        internet = VirtualInternet(VirtualClock(), seed=5)
+        BotWebsiteBuilder(ecosystem).register(internet)
+        service = VettingService(internet, ecosystem.bots, policy=ServicePolicy(warmup=0.0), seed=5)
+        client = HttpClient(internet, client_id="probe")
+        for bot in ecosystem.websites()[:12]:
+            client.get(f"https://{service.hostname}/vet/{bot.name}")
+            internet.clock.sleep(4_000)
+    finally:
+        VirtualInternet.exchange, HttpClient.request = original_exchange, original_request
+    return sent
+
+
+def test_every_url_sent_survives_a_reparse(sent_urls):
+    assert len({url.host for url in sent_urls}) >= 5
+    assert any(url.path.endswith(("/privacy", "/privacy-policy", "/legal/privacy")) for url in sent_urls)
+    for url in sent_urls:
+        assert fields(Url.parse(str(url))) == fields(url), url

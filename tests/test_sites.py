@@ -4,13 +4,14 @@ import pytest
 
 from repro.botstore import PAGE_SIZE, ListingStore, TopGGSite, build_store_host
 from repro.botstore.host import StoreDefenses
-from repro.ecosystem.generator import EcosystemConfig, InviteStatus, generate_ecosystem
+from repro.ecosystem.generator import EcosystemConfig, InviteStatus, StreamingEcosystem, generate_ecosystem
 from repro.ecosystem.repos import RepoKind
 from repro.sites.botwebsites import BotWebsiteBuilder, variant_for
 from repro.sites.discordweb import DiscordWebsite
 from repro.sites.github import GitHubSite
 from repro.web.client import HttpClient, RequestTimeoutError
 from repro.web.dom import parse_html
+from repro.web.network import VirtualClock, VirtualInternet
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,69 @@ class TestGitHubSite:
         if bot is None:
             pytest.skip("no dead link in this sample")
         assert client.get(bot.github_url).status == 404
+
+
+class TestStreamedGitHubProfiles:
+    """Profile pages of a streamed population read only the owner's bots."""
+
+    CONFIG = EcosystemConfig(n_bots=1_200, seed=13, honeypot_window=40)
+
+    @pytest.fixture
+    def sites(self):
+        streamed = StreamingEcosystem(self.CONFIG, cache_size=16)
+        # Fill the 16-profile cache with block 2's ranks: block 0's are evicted.
+        for rank in range(1_100, 1_132):
+            streamed.bots[rank]
+        clients = []
+        for ecosystem in (streamed, generate_ecosystem(self.CONFIG)):
+            internet = VirtualInternet(VirtualClock(), seed=7)
+            GitHubSite(ecosystem).register(internet)
+            clients.append(HttpClient(internet))
+        return streamed, clients
+
+    @staticmethod
+    def owner_of(developer):
+        return developer.tag.split("#")[0]
+
+    def test_a_profile_page_regenerates_only_its_owners_bots(self, sites, monkeypatch):
+        streamed, (client, _) = sites
+        developers, _ = streamed.stream.block(0)
+        developer = max(developers, key=lambda dev: dev.bot_count)
+        assert developer.bot_count >= 3
+        ranks = []
+        original = streamed.stream.bot_at
+        monkeypatch.setattr(streamed.stream, "bot_at", lambda rank: ranks.append(rank) or original(rank))
+        client.get(f"https://github.sim/{self.owner_of(developer)}")
+        assert ranks == developer.bot_indices
+        # A misspelled owner decodes to another developer of the block but reads none of its bots.
+        other = next(dev for dev in developers if dev is not developer)
+        misspelled = "zz" + self.owner_of(other).lstrip("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        assert client.get(f"https://github.sim/{misspelled}").status == 404
+        assert ranks == developer.bot_indices
+
+    def test_pages_equal_the_materialized_sites(self, sites):
+        streamed, (client, reference) = sites
+        with_repos, empty = [], []
+        for block in range(3):
+            for developer in streamed.stream.block(block)[0]:
+                kinds = {streamed.bots[rank].github.kind for rank in developer.bot_indices
+                         if streamed.bots[rank].github is not None}
+                if kinds & {RepoKind.VALID_CODE, RepoKind.README_ONLY}:
+                    with_repos.append(self.owner_of(developer))
+                elif kinds & {RepoKind.USER_PROFILE, RepoKind.NO_REPOSITORIES, RepoKind.NO_PUBLIC_REPOSITORIES}:
+                    empty.append(self.owner_of(developer))
+        assert len(with_repos) >= 6 and len(empty) >= 3
+        first = self.owner_of(streamed.stream.block(0)[0][0])
+        unknown = [
+            "nobody",
+            "zz" + first.lstrip("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"),  # misspelled, same block
+            first + "99999",  # no such developer index
+            "dev9x0",  # no such block
+        ]
+        for owner in with_repos[::max(len(with_repos) // 6, 1)] + empty[:3] + unknown:
+            page, expected = client.get(f"https://github.sim/{owner}"), reference.get(f"https://github.sim/{owner}")
+            assert (page.status, page.body) == (expected.status, expected.body), owner
+        assert client.get(f"https://github.sim/{unknown[1]}").status == 404
 
 
 class TestBotWebsites:

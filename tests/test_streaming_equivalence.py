@@ -16,6 +16,7 @@ Three layers of the equivalence contract from ISSUE 9:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import tracemalloc
@@ -28,6 +29,7 @@ from repro.core.pipeline import AssessmentPipeline, PipelineWorld
 from repro.core.serialize import comparable_result, result_to_dict
 from repro.ecosystem.generator import EcosystemConfig, generate_ecosystem
 from repro.ecosystem.stream import EcosystemStream, iter_bots
+from repro.web import http
 
 
 class TestIterBotsEquivalence:
@@ -165,17 +167,20 @@ class TestMemoryBounds:
         world = PipelineWorld.build(config)
         # Shrink the bounded caches far below both population sizes so the
         # comparison measures the accumulators, not cache fill: the audit
-        # ring, the dynamic-host LRU, and the lazy-bot profile cache all
-        # saturate within the smaller run.
+        # ring, the dynamic-host LRU, the lazy-bot profile cache and the
+        # process-wide URL parse memo all saturate within the smaller run.
         world.internet.log = deque(maxlen=500)
         world.internet.dynamic_host_limit = 64
         world.ecosystem.bots._cache_size = 128
+        memo = http._parse
+        http._parse = functools.lru_cache(maxsize=64)(memo.__wrapped__)
         tracemalloc.start()
         try:
             AssessmentPipeline(config=config, world=world).run()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            http._parse = memo
 
     def test_streamed_pipeline_grows_sublinearly(self):
         """4x the population must cost well under 2x the peak memory.

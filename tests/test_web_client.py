@@ -3,7 +3,7 @@
 import pytest
 
 from repro.web.client import HttpClient, RequestTimeoutError, TooManyRedirectsError
-from repro.web.http import Response
+from repro.web.http import Response, Url
 from repro.web.network import ConnectionFailedError, HostConditions
 from repro.web.server import VirtualHost
 
@@ -39,6 +39,16 @@ class TestBasics:
     def test_relative_url_rejected(self, internet, host):
         with pytest.raises(ValueError):
             HttpClient(internet).get("/relative")
+        with pytest.raises(ValueError):
+            HttpClient(internet).get(Url.parse("/relative"))
+
+    def test_a_url_is_sent_as_it_is(self, internet, host):
+        url = Url.parse("https://a.sim/").join("/seen?x=1")
+        seen = []
+        host.add_route("/seen", lambda request: seen.append(request.url) or Response.text("seen"))
+        response = HttpClient(internet).get(url)
+        assert seen == [url] and seen[0] is url
+        assert response.url is url
 
     def test_post_body(self, internet, host):
         client = HttpClient(internet)

@@ -1,5 +1,8 @@
 """Tests for repro.web.http: URLs, headers, requests, responses."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.web.http import Headers, Request, Response, Url
@@ -38,6 +41,34 @@ class TestUrlParsing:
         assert len({Url.parse("https://a.sim/"), Url.parse("https://a.sim/")}) == 1
 
 
+class TestUrlImmutable:
+    FIELDS = ("scheme", "host", "port", "path", "query", "fragment")
+
+    @pytest.mark.parametrize("name", FIELDS + ("_text", "_params", "extra"))
+    def test_assignment_raises(self, name):
+        url = Url.parse("https://a.sim:8443/x?k=v#f")
+        with pytest.raises(AttributeError):
+            setattr(url, name, "changed")
+        assert str(url) == "https://a.sim:8443/x?k=v#f"
+
+    def test_deletion_raises(self):
+        url = Url.parse("https://a.sim/x")
+        with pytest.raises(AttributeError):
+            del url.path
+        assert url.path == "/x"
+
+    def test_parse_shares_one_instance_per_string(self):
+        assert Url.parse("https://a.sim/shared") is Url.parse("https://a.sim/shared")
+
+    def test_copies_and_pickles_keep_every_field(self):
+        url = Url.parse("https://a.sim:8443/x?k=v#f")
+        for clone in (copy.copy(url), copy.deepcopy(url), pickle.loads(pickle.dumps(url))):
+            assert clone == url
+            assert tuple(getattr(clone, name) for name in self.FIELDS) == (
+                "https", "a.sim", 8443, "/x", "k=v", "f",
+            )
+
+
 class TestUrlJoin:
     def test_join_absolute_reference_replaces(self):
         base = Url.parse("https://a.sim/x/y")
@@ -62,6 +93,14 @@ class TestUrlQuery:
     def test_query_params_decoding(self):
         url = Url.parse("https://a.sim/?a=1&b=two&empty=")
         assert url.query_params() == {"a": "1", "b": "two", "empty": ""}
+
+    def test_each_query_params_call_returns_its_own_dict(self):
+        url = Url.parse("https://a.sim/?a=1&b=2")
+        first = url.query_params()
+        first["a"] = "changed"
+        first["c"] = "added"
+        assert url.query_params() == {"a": "1", "b": "2"}
+        assert Url.parse("https://a.sim/?a=1&b=2").query_params() == {"a": "1", "b": "2"}
 
     def test_with_params_merges(self):
         url = Url.parse("https://a.sim/?a=1")
