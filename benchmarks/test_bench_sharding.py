@@ -9,11 +9,10 @@ this scale (318,208 s sequential vs 152,187 s with 4 shards at seed 11;
 buckets are uneven and the crawl is not sharded, so the ratio stays well
 short of 4x).  Virtual time is deterministic per seed, so the ratio is too.
 
-On the wall clock sharding buys nothing in-process: the buckets run one
-after another on one thread, and the honeypot's co-resident fan-out that
-four small platforms once divided is gone since gateway dispatch is
-indexed by ``(event_type, guild_id)``.  Worker processes are what make the
-stages faster (``parallel=True``, see ``test_bench_parallel.py``).
+On the wall clock sharding buys nothing: the buckets run one after
+another on one thread, and the honeypot's co-resident fan-out that four
+small platforms once divided is gone since gateway dispatch is indexed by
+``(event_type, guild_id)``.
 
 This benchmark asserts the >= 2x floor on the virtual campaign, checks
 the merged statistics match the sequential run's, and records the wall

@@ -63,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bots per streamed chunk (default 2048; needs --stream)")
     run.add_argument("--shards", type=int, default=1,
                      help="deterministic shards for stages 2-4 (default 1 = sequential)")
-    run.add_argument("--parallel", action="store_true",
-                     help="run shard buckets in worker processes instead of one after "
-                          "another in this process (same byte-identical output, actual "
-                          "multi-core speedup; needs --shards > 1)")
     run.add_argument("--metrics", action="store_true",
                      help="print per-stage/per-shard run metrics after the report")
     run.add_argument("--max-bot-events", type=int, default=None,
@@ -169,7 +165,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stream=args.stream,
         chunk_size=args.chunk_size,
         shards=args.shards,
-        parallel=args.parallel,
         adversarial_bots=args.adversarial,
         journal_fsync_every=args.journal_fsync_every,
         disk_chaos=args.disk_chaos,

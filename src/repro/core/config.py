@@ -69,15 +69,6 @@ class PipelineConfig:
     #: onto N isolated world views and merges the outputs (virtual time =
     #: max across shards, captcha dollars = sum).
     shards: int = 1
-    #: Run shard buckets in worker *processes* instead of one after another
-    #: in this process, so the shards' pure-Python work uses several cores.
-    #: Determinism is unchanged: each worker rebuilds its shard world from
-    #: the shared seed and returns a picklable outcome, and the parent
-    #: performs the same order-fixed merge — ``shards=N`` output is
-    #: byte-identical either way.  Ignored for ``shards == 1`` and whenever
-    #: crash injection or crash-point recording is armed (those need one
-    #: process).
-    parallel: bool = False
 
     # Resilience and fault injection.
     #: Chaos profile name ("calm", "flaky", "hostile", "outage"), a
@@ -103,8 +94,8 @@ class PipelineConfig:
     #: "bitrot", "hostile"), a
     #: :class:`~repro.core.storage.StorageChaosProfile`, or None to leave
     #: the process's storage-fault shim untouched.  Installed process-wide
-    #: when the pipeline is built, so parallel shard workers (which rebuild
-    #: the pipeline from this config) inherit the same seeded schedule.
+    #: when the pipeline is built, so one seeded schedule covers every
+    #: durable write of the run: checkpoint, spills, main and shard journals.
     disk_chaos: str | None = None
     disk_chaos_seed: int = 0
     #: Absorb stage/bot-level faults into the ledger instead of crashing.

@@ -13,9 +13,8 @@ stages against it:
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -243,18 +242,13 @@ class AssessmentPipeline:
         self._shard_world_states: dict[str, dict] = {}
         #: Where streamed stage results spill (created on first use).
         self._spill_dir: Path | None = None
-        #: Process pool for ``config.parallel`` runs (lazily started) and
-        #: the journal counters its workers report back.
-        self._parallel_runner = None
-        self._parallel_journal_stats = JournalStats()
         # Planting first: a sample too small for the adversaries asked for
         # is a config error, raised before anything process-global is armed.
         if self.config.adversarial_bots > 0:
             self._plant_adversaries()
         # Storage-fault injection is process-global (the durable-I/O
         # primitives consult one shim), so installing it here covers every
-        # artifact this run writes — and parallel shard workers, which
-        # rebuild the pipeline from this same config, arm themselves too.
+        # artifact this run writes: checkpoint, spills and every journal.
         if self.config.disk_chaos is not None:
             install_disk_chaos(self.config.disk_chaos, seed=self.config.disk_chaos_seed)
 
@@ -397,15 +391,11 @@ class AssessmentPipeline:
 
     def _aggregate_journal_stats(self) -> None:
         journals = [journal for journal in (self._journal, *self._shard_journals.values()) if journal is not None]
-        worked = self._parallel_journal_stats.to_dict() != JournalStats().to_dict()
-        if not journals and not worked:
+        if not journals:
             return
         total = JournalStats()
         for journal in journals:
             total.merge(journal.stats)
-        # Shard journals owned by worker processes report their counters
-        # back through the task payloads.
-        total.merge(self._parallel_journal_stats)
         self.metrics.journal = total.to_dict()
 
     def _close_journals(self) -> None:
@@ -710,23 +700,6 @@ class AssessmentPipeline:
         """Shard ``index``'s isolated lane over this run's ecosystem."""
         return self._lane(_simulation(self.config, self.world.ecosystem, index, start_time), index)
 
-    def _parallel_active(self) -> bool:
-        """Whether shard buckets run in worker processes this run.
-
-        Crash injection and crash-point recording need every crashpoint
-        hit in one process, so arming either environment knob falls the
-        run back to in-process shard buckets — same output, byte for byte,
-        just without the parallel speedup.
-        """
-        from repro.core.crashpoints import ENV_CRASH_AT, ENV_RECORD
-
-        return (
-            self.config.parallel
-            and self.config.shards > 1
-            and not os.environ.get(ENV_CRASH_AT)
-            and not os.environ.get(ENV_RECORD)
-        )
-
     def _sharded(self) -> ShardedExecutor:
         """The shard worlds, built lazily at the first sharded stage.
 
@@ -740,9 +713,7 @@ class AssessmentPipeline:
             worlds = [self._shard_lane(index, start_time) for index in range(self.config.shards)]
             self._shard_executor = ShardedExecutor(worlds)
             self._restore_all_worlds({"shards": self._shard_world_states})
-            # In parallel mode each worker process owns its shard journal
-            # exclusively; the parent must not hold (and truncate) them.
-            if self.config.journal_path is not None and not self._parallel_active():
+            if self.config.journal_path is not None:
                 self._shard_journals = {
                     shard.index: self._open_journal(f"{self.config.journal_path}.shard{shard.index}")
                     for shard in worlds
@@ -751,8 +722,7 @@ class AssessmentPipeline:
 
     def run_shard_bucket(self, stage: str, shard: ShardWorld, bots: list, journal: WriteAheadJournal | None):
         """Run one lane's bucket of ``stage`` — the single per-bot stage
-        dispatch shared by the main world, in-process shards and the
-        process-pool workers.
+        dispatch shared by the main world and every shard.
 
         Faults, quarantines and supervision all land in the *lane's* own
         ledger/log/bus; a sharded caller extracts the stage's deltas
@@ -771,103 +741,27 @@ class AssessmentPipeline:
             return HoneypotReport()
         return self.run_honeypot(on_fault=on_fault, sample=bots, world=shard, supervisor=supervisor, journal=journal)
 
-    def _process_runner(self):
-        """The run's process pool, started on first parallel stage."""
-        if self._parallel_runner is None:
-            from repro.core.parallel import ProcessShardRunner
-
-            self._parallel_runner = ProcessShardRunner(max_workers=self.config.shards)
-        return self._parallel_runner
-
-    def _close_parallel_runner(self) -> None:
-        if self._parallel_runner is not None:
-            self._parallel_runner.close()
-            self._parallel_runner = None
-
-    def _run_parallel_stage(
-        self, stage: str, executor: ShardedExecutor, buckets: list[list]
-    ) -> list[ShardOutcome]:
-        """Run every shard's bucket in a worker process; outcomes in shard order.
-
-        The parent captures each shard world, ships it to a worker, and on
-        return restores the worker's post-stage snapshot into its own shard
-        world — so the parent-side worlds evolve exactly as if the stage had
-        run in-process, and every later consumer (clock sync, checkpointing,
-        captcha accounting) is none the wiser.
-        """
-        from repro.core.parallel import ShardTaskSpec, decode_stage_value
-
-        child_config = replace(self.config, checkpoint_path=None, journal_path=None, parallel=False)
-        specs = []
-        for shard, bucket in zip(executor.worlds, buckets):
-            specs.append(
-                ShardTaskSpec(
-                    stage=stage,
-                    index=shard.index,
-                    start_time=shard.clock.now(),
-                    config=child_config,
-                    # Honeypot buckets are ecosystem bot profiles, outside
-                    # the pickling contract; the worker recomputes its
-                    # bucket from the deterministic sample partition.
-                    bots=None if stage == STAGE_HONEYPOT else list(bucket),
-                    world_state=shard.capture(),
-                    journal_path=(
-                        f"{self.config.journal_path}.shard{shard.index}"
-                        if self.config.journal_path is not None
-                        else None
-                    ),
-                )
-            )
-        payloads = self._process_runner().run(specs)
-        outcomes: list[ShardOutcome] = []
-        for shard, bucket, payload in zip(executor.worlds, buckets, payloads):
-            shard.restore(payload["world"])
-            faults = [FaultRecord.from_dict(record) for record in payload["faults"]]
-            quarantined = [QuarantineRecord.from_dict(record) for record in payload["quarantines"]]
-            shard.ledger.records.extend(faults)
-            shard.quarantines.records.extend(quarantined)
-            if payload.get("journal_discard"):
-                record_resume_provenance(self.ledger, payload["journal_discard"])
-            if payload.get("journal_stats") is not None:
-                self._parallel_journal_stats.merge(JournalStats(**payload["journal_stats"]))
-            outcomes.append(
-                ShardOutcome(
-                    shard_index=shard.index,
-                    items=list(bucket),
-                    value=decode_stage_value(stage, payload["value"]),
-                    wall_seconds=payload["wall_seconds"],
-                    virtual_seconds=payload["virtual_seconds"],
-                    exchanges=payload["exchanges"],
-                    faults=faults,
-                    quarantines=quarantined,
-                )
-            )
-        return outcomes
-
     def _run_lanes(
         self, stage: str, units, merge: Callable[[list[ShardOutcome]], Any]
     ) -> tuple[Any, list[ShardOutcome] | None]:
         """Run ``stage`` over ``units``: on the main lane, or split across shards.
 
         Sharded, units partition by stable id hash (client id for the
-        honeypot, listing id otherwise); buckets run in worker processes or
-        here in shard order, and ``merge`` folds their values back.  The
-        shards' records then join the run's logs and the main clock moves to
-        the shards' horizon: virtual time merges as *max across shards*,
-        because shards run concurrently in simulated time.
+        honeypot, listing id otherwise); buckets run here in shard order,
+        and ``merge`` folds their values back.  The shards' records then
+        join the run's logs and the main clock moves to the shards'
+        horizon: virtual time merges as *max across shards*, because
+        shards run concurrently in simulated time.
         """
         if self.config.shards <= 1:
             return self.run_shard_bucket(stage, self.lane, units, self._main_journal()), None
         key = (lambda bot: bot.client_id) if stage == STAGE_HONEYPOT else (lambda bot: bot.listing_id)
         buckets = partition(units, self.config.shards, key=key)
         executor = self._sharded()
-        if self._parallel_active():
-            outcomes = self._run_parallel_stage(stage, executor, buckets)
-        else:
-            outcomes = executor.run_stage(
-                buckets,
-                lambda shard, bots: self.run_shard_bucket(stage, shard, bots, self._shard_journals.get(shard.index)),
-            )
+        outcomes = executor.run_stage(
+            buckets,
+            lambda shard, bots: self.run_shard_bucket(stage, shard, bots, self._shard_journals.get(shard.index)),
+        )
         for outcome in outcomes:
             self.ledger.records.extend(outcome.faults)
             self.quarantines.records.extend(outcome.quarantines)
@@ -888,13 +782,12 @@ class AssessmentPipeline:
         ``FAILED``, and everything lost is accounted in ``fault_ledger``.
         With ``config.checkpoint_path``, the pipeline snapshots after every
         stage and a re-run resumes from the last completed one.  The
-        journals and the process pool close however the run ends.
+        journals close however the run ends.
         """
         try:
             return self._run_stages()
         finally:
             self._close_journals()
-            self._close_parallel_runner()
 
     def _run_stages(self) -> PipelineResult:
         started_wall = time.monotonic()

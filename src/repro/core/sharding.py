@@ -1,16 +1,15 @@
 """Deterministic sharded execution for the per-bot pipeline stages.
 
-Stages 2–4 are embarrassingly parallel: each bot's policy crawl, repo
-crawl and honeypot guild are independent.  :class:`ShardedExecutor` runs
+Stages 2–4 split cleanly by bot: each bot's policy crawl, repo crawl
+and honeypot guild are independent.  :class:`ShardedExecutor` runs
 them over N isolated *shard worlds* — each with its own
 :class:`~repro.web.network.VirtualClock`, its own
 :class:`~repro.web.network.VirtualInternet` (sites re-registered from the
 shared, read-only ecosystem), its own breaker registry, fault ledger and
 captcha solver — and merges the outputs deterministically.  Buckets run
-one after another on the calling thread (``parallel=True`` moves them into
-worker processes, see :mod:`repro.core.parallel`); what sharding buys
-in-process is a shorter *simulated* campaign, because the shards run
-concurrently in virtual time.
+one after another on the calling thread, so what sharding buys is a
+shorter *simulated* campaign: the shards run concurrently in virtual
+time, not on the wall clock.
 
 Determinism contract:
 
@@ -112,35 +111,6 @@ class ShardOutcome:
     quarantines: list[QuarantineRecord] = field(default_factory=list)
 
 
-def run_bucket(
-    world: ShardWorld, bucket: list[Any], worker: Callable[[ShardWorld, list[Any]], Any]
-) -> ShardOutcome:
-    """Run ``worker(world, bucket)`` and measure what it did to the lane.
-
-    Shared by :class:`ShardedExecutor` and the process-pool workers, so
-    both report the same wall/virtual/exchange deltas and records.
-    """
-    wall_start = time.monotonic()
-    virtual_start = world.clock.now()
-    exchanges_start = world.internet.exchanges_total
-    # Absolute marks, not list indices: a bounded ledger's ring trim
-    # shifts indices mid-stage and a raw slice would ship records from
-    # before the stage as this stage's delta.
-    faults_start = world.ledger.mark()
-    quarantines_start = world.quarantines.mark()
-    value = worker(world, bucket)
-    return ShardOutcome(
-        shard_index=world.index,
-        items=bucket,
-        value=value,
-        wall_seconds=time.monotonic() - wall_start,
-        virtual_seconds=world.clock.now() - virtual_start,
-        exchanges=world.internet.exchanges_total - exchanges_start,
-        faults=world.ledger.records_since(faults_start),
-        quarantines=world.quarantines.records_since(quarantines_start),
-    )
-
-
 class ShardedExecutor:
     """Run stage workers over shard worlds and keep their clocks aligned."""
 
@@ -166,7 +136,28 @@ class ShardedExecutor:
             raise ValueError(f"expected {len(self.worlds)} buckets, got {len(buckets)}")
         outcomes = []
         for world, bucket in zip(self.worlds, buckets):
-            outcomes.append(run_bucket(world, list(bucket), worker))
+            bucket = list(bucket)
+            wall_start = time.monotonic()
+            virtual_start = world.clock.now()
+            exchanges_start = world.internet.exchanges_total
+            # Absolute marks, not list indices: a bounded ledger's ring trim
+            # shifts indices mid-stage and a raw slice would report records
+            # from before the stage as this stage's delta.
+            faults_start = world.ledger.mark()
+            quarantines_start = world.quarantines.mark()
+            value = worker(world, bucket)
+            outcomes.append(
+                ShardOutcome(
+                    shard_index=world.index,
+                    items=bucket,
+                    value=value,
+                    wall_seconds=time.monotonic() - wall_start,
+                    virtual_seconds=world.clock.now() - virtual_start,
+                    exchanges=world.internet.exchanges_total - exchanges_start,
+                    faults=world.ledger.records_since(faults_start),
+                    quarantines=world.quarantines.records_since(quarantines_start),
+                )
+            )
             crashpoint("sharding.after_shard")
         self.sync_clocks()
         return outcomes

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.crash_driver import build_config
 from repro.core.serialize import load_result_summary, result_to_dict, save_result
 
 
@@ -41,6 +42,16 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_run_has_no_parallel_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--bots", "60", "run", "--parallel"])
+        assert exit_info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+
+    def test_crash_driver_refuses_a_parallel_field(self):
+        with pytest.raises(SystemExit, match="'parallel'"):
+            build_config({"parallel": True})
 
     def test_platforms_command(self, capsys):
         assert main(["platforms"]) == 0

@@ -7,6 +7,7 @@ run resumes without losing accounting.
 """
 
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -22,6 +23,7 @@ from repro.core.metrics import RunMetrics, ShardMetrics, StageMetrics
 from repro.core.pipeline import AssessmentPipeline
 from repro.core.serialize import result_to_dict
 from repro.core.sharding import partition, stable_shard
+from repro.core.storage import DiskFullError, OneShotFault, install_faults
 from repro.web.network import NetworkError
 
 
@@ -97,6 +99,19 @@ class TestStableShard:
         assert sorted(item for bucket in buckets for item in bucket) == items
         for bucket in buckets:
             assert bucket == sorted(bucket)  # input order kept within a bucket
+
+
+@pytest.mark.parametrize("stage", [STAGE_TRACEABILITY, STAGE_CODE, STAGE_HONEYPOT])
+def test_run_shard_bucket_rejects_nothing_it_should_accept(stage):
+    pipeline = AssessmentPipeline(_config(shards=2))
+    shard = pipeline._sharded().worlds[0]
+    assert pipeline.run_shard_bucket(stage, shard, [], None) is not None
+
+
+def test_run_shard_bucket_rejects_unknown_stage():
+    pipeline = AssessmentPipeline(_config(shards=2))
+    with pytest.raises(ValueError):
+        pipeline.run_shard_bucket(STAGE_CRAWL, pipeline._sharded().worlds[0], [], None)
 
 
 class TestShardedEquality:
@@ -217,6 +232,17 @@ class TestRunMetrics:
         assert crawl.wall_seconds == pytest.approx(original_crawl.wall_seconds)
         assert not resumed.metrics.stage(STAGE_CODE).resumed
 
+    def test_journal_metrics_sum_main_and_shard_journals(self, tmp_path):
+        config = _config(
+            shards=2, checkpoint_path=str(tmp_path / "ckpt.json"), journal_path=str(tmp_path / "journal.jsonl")
+        )
+        pipeline = AssessmentPipeline(config)
+        result = pipeline.run()
+        assert sorted(pipeline._shard_journals) == [0, 1]
+        journals = [pipeline._journal, *pipeline._shard_journals.values()]
+        assert all(journal.stats.appended > 0 for journal in journals)
+        assert result.metrics.journal["appended"] == sum(journal.stats.appended for journal in journals)
+
     def test_render_lists_stages_and_shards(self):
         result = AssessmentPipeline(_config(shards=2)).run()
         rendered = result.metrics.render()
@@ -273,3 +299,22 @@ class TestFailedStageSummaries:
         from repro.core.report import render_full_report
 
         assert "FAILED" in render_full_report(result)
+
+
+class TestFailedRunCleanup:
+    def test_failed_run_closes_main_and_shard_journals(self, tmp_path):
+        """A sharded run that dies on a full disk still closes every journal."""
+        journal = tmp_path / "journal.jsonl"
+        config = _config(shards=2, checkpoint_path=str(tmp_path / "ckpt.json"), journal_path=str(journal))
+        # The second checkpoint write is the one after traceability, by
+        # which time the main journal and both shard journals are open.
+        install_faults(OneShotFault("checkpoint.write", "enospc", occurrence=2))
+        # Held past the failure, so only the run itself can have closed them.
+        pipeline = AssessmentPipeline(config)
+        with pytest.raises(DiskFullError):
+            pipeline.run()
+        paths = [journal, *(tmp_path / f"journal.jsonl.shard{index}" for index in range(2))]
+        assert all(path.exists() for path in paths)
+        if os.path.isdir("/proc/self/fd"):  # no descriptor still names a journal
+            open_files = {os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")}
+            assert not open_files & {str(path.resolve()) for path in paths}

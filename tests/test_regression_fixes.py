@@ -1,4 +1,4 @@
-"""Regression tests for the bug cluster fixed alongside the process pool.
+"""Regression tests for a cluster of accounting and protocol bugs.
 
 Each class pins one defect that silently corrupted accounting or protocol
 behaviour:

@@ -138,7 +138,7 @@ class TestScrapedBotCodec:
         assert repr(parsed) == repr(fresh) and parsed == fresh
         assert scraped_bot_to_dict(parsed) == scraped_bot_to_dict(fresh)
         assert scraped_bot_from_dict(scraped_bot_to_dict(parsed)).permissions == value
-        # Shard buckets travel to worker processes pickled.
+        # A listing stays plain data: a pickle round trip keeps the value too.
         assert pickle.loads(pickle.dumps(parsed)).permissions == value
 
 
