@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -68,7 +67,6 @@ from repro.discordsim.permissions import Permission
 from repro.discordsim.platform import DiscordPlatform
 from repro.ecosystem.generator import InviteStatus
 from repro.ecosystem.generator import Ecosystem, EcosystemConfig, generate_ecosystem
-from repro.ecosystem.stream import policy_eligible_at
 from repro.honeypot.experiment import HoneypotExperiment, HoneypotReport
 from repro.scraper.github import GitHubScraper
 from repro.scraper.topgg import ScrapedBot, TopGGScraper, scraped_bot_from_dict, scraped_bot_to_dict
@@ -1115,7 +1113,7 @@ class AssessmentPipeline:
             # since sampling is by index either way.
             return validator.validate_ranks(
                 len(bots),
-                partial(policy_eligible_at, self.world.ecosystem.config),
+                self.world.ecosystem.stream.policy_eligible_at,
                 lambda rank: _policy_entry(bots[rank]),
                 sample_size=self.config.validation_sample_size,
             )

@@ -24,6 +24,7 @@ from repro.ecosystem.generator import (
     _generate_bot,
 )
 from repro.ecosystem.policies import render_policy, sample_policy_spec
+from repro.ecosystem.stream import _SamplingTables
 
 
 @dataclass
@@ -100,6 +101,7 @@ def evolve_ecosystem(
     developers = dict(ecosystem.developers)
     dev_tags = set(developers)
     new_count = int(len(ecosystem.bots) * config.new_bot_rate)
+    tables = _SamplingTables(targets)
     next_client_id = max((bot.client_id for bot in ecosystem.bots), default=0) + 1
     for offset in range(new_count):
         developer = Developer(tag=naming.developer_tag(rng, dev_tags))
@@ -111,7 +113,7 @@ def evolve_ecosystem(
             developer=developer,
             tags=naming.bot_tags(rng),
             rng=rng,
-            targets=targets,
+            tables=tables,
         )
         bot.client_id = next_client_id
         next_client_id += 1

@@ -76,13 +76,16 @@ def bot_tags(rng: random.Random) -> list[str]:
     return rng.sample(TAGS, count)
 
 
+#: Listing descriptions; :func:`bot_description` draws one, then formats it.
+DESCRIPTION_TEMPLATES = (
+    "{name} is the ultimate {purpose} bot for your server!",
+    "Bring {purpose} to your community with {name}.",
+    "{name} — {purpose}, leveling, and more. Trusted by thousands of servers.",
+    "A powerful {purpose} bot. Easy setup, 24/7 uptime.",
+    "{name} makes {purpose} effortless. Invite now!",
+)
+
+
 def bot_description(rng: random.Random, name: str, tags: list[str]) -> str:
     purpose = tags[0] if tags else "utility"
-    templates = (
-        f"{name} is the ultimate {purpose} bot for your server!",
-        f"Bring {purpose} to your community with {name}.",
-        f"{name} — {purpose}, leveling, and more. Trusted by thousands of servers.",
-        f"A powerful {purpose} bot. Easy setup, 24/7 uptime.",
-        f"{name} makes {purpose} effortless. Invite now!",
-    )
-    return rng.choice(templates)
+    return rng.choice(DESCRIPTION_TEMPLATES).format(name=name, purpose=purpose)

@@ -6,9 +6,10 @@ depended on every draw before it, so the population could only exist fully
 materialized.  This module redefines the population so that **rank order is
 generation order**:
 
-* every bot's attribute draws come from small per-rank RNG streams derived
-  with sha256 from ``(seed, stream-name, rank)``, so bot *k* is computable
-  without touching bots ``0..k-1``;
+* every bot's attribute draws come from small per-rank RNG streams seeded
+  with sha256 of ``(seed, stream-name, rank)``, so bot *k* is computable
+  without touching bots ``0..k-1``; a stream object reseeds one scratch RNG
+  per attribute stream instead of building a fresh one;
 * vote counts come from the log-normal inverse CDF evaluated at rank
   quantiles, so the population is sorted by votes *by construction* while
   preserving the paper-calibrated marginal distribution;
@@ -34,14 +35,16 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 from statistics import NormalDist
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.discordsim import behaviors
 from repro.discordsim.oauth import OAuthScope, build_invite_url
 from repro.discordsim.permissions import Permission, Permissions, permission_from_name
 from repro.ecosystem import names as naming
-from repro.ecosystem.distributions import DEFAULT_TARGETS, Targets, TraceabilityTargets
+from repro.ecosystem.distributions import DEFAULT_TARGETS, PopulationTargets, Targets, TraceabilityTargets
 from repro.ecosystem.policies import PolicySpec, render_policy, sample_policy_spec
 from repro.ecosystem.repos import RepoKind, RepoSpec, generate_repo
 
@@ -145,10 +148,15 @@ class EcosystemConfig:
 # ---------------------------------------------------------------------------
 
 
-def _derive_rng(seed: int, stream: str, rank: int) -> random.Random:
-    """An independent RNG for one attribute stream of one rank."""
+def _stream_seed(seed: int, stream: str, rank: int) -> int:
+    """The seed of one attribute stream of one rank: 128 bits of sha256."""
     digest = hashlib.sha256(f"{seed}:{stream}:{rank}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+    return int.from_bytes(digest[:16], "big")
+
+
+def _derive_rng(seed: int, stream: str, rank: int) -> random.Random:
+    """A fresh RNG for a one-off stream: a developer block, or the plant."""
+    return random.Random(_stream_seed(seed, stream, rank))
 
 
 def votes_at(config: EcosystemConfig, rank: int) -> int:
@@ -160,34 +168,17 @@ def votes_at(config: EcosystemConfig, rank: int) -> int:
     return min(votes, population.max_vote_count)
 
 
-def invite_status_at(config: EcosystemConfig, rank: int) -> InviteStatus:
-    """O(1) probe used by the Melonian overlay and the invite pages."""
-    return _sample_invite_status(_derive_rng(config.seed, "invite", rank), config.targets)
-
-
 def _trace_draws(rng: random.Random, trace: TraceabilityTargets) -> tuple[bool, bool, bool]:
     """The trace stream's first three draws: website, policy link, valid link.
 
-    The one definition :meth:`EcosystemStream.bot_at` and
-    :func:`policy_eligible_at` share, so the probe cannot drift from the
-    profiles it predicts.
+    The one definition :func:`_sample_presence` and
+    :meth:`EcosystemStream.policy_eligible_at` share, so the probe cannot
+    drift from the profiles it predicts.
     """
     has_website = rng.random() < trace.website_fraction
     policy_present = has_website and rng.random() < trace.policy_link_given_website
     link_valid = policy_present and rng.random() < trace.valid_policy_given_link
     return has_website, policy_present, link_valid
-
-
-def policy_eligible_at(config: EcosystemConfig, rank: int) -> bool:
-    """O(1) probe: whether ``bot_at(rank).policy`` is present with a valid link.
-
-    The manual-review population's predicate, answered from at most three
-    draws of the rank's trace stream instead of a whole profile.  The
-    Melonian overlay leaves the policy alone, so the plant's rank needs no
-    special case.
-    """
-    _, present, link_valid = _trace_draws(_derive_rng(config.seed, "trace", rank), config.targets.traceability)
-    return present and link_valid
 
 
 def rank_suffix_of(text: str) -> int | None:
@@ -222,72 +213,161 @@ def owner_block_of(owner: str) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _sample_permissions(rng: random.Random, targets: Targets) -> Permissions:
-    value = Permissions.none()
-    for display_name, percent in targets.fig3.percentages.items():
-        if rng.random() < percent / 100.0:
-            value = value | permission_from_name(display_name)
-    return value
+_INVITE_STATUS_BY_KIND = {
+    "malformed_link": InviteStatus.MALFORMED,
+    "removed": InviteStatus.REMOVED,
+    "slow_redirect": InviteStatus.SLOW_REDIRECT,
+}
+
+_REPO_KIND_BY_INVALID_LINK = {
+    "user_profile": RepoKind.USER_PROFILE,
+    "no_repositories": RepoKind.NO_REPOSITORIES,
+    "no_public_repositories": RepoKind.NO_PUBLIC_REPOSITORIES,
+    "invalid_link": RepoKind.INVALID_LINK,
+}
 
 
-def _sample_scopes(rng: random.Random, targets: Targets) -> tuple[OAuthScope, ...]:
-    """The bot scope always, plus sampled extras."""
-    scopes = [OAuthScope.BOT]
-    for scope_name, rate in targets.population.extra_scope_rates.items():
-        if rng.random() < rate:
-            scopes.append(OAuthScope(scope_name))
-    return tuple(scopes)
+def _cumulative(shares: dict, outcome=None) -> tuple[list, list[float]]:
+    """``(population, cum_weights)`` for ``choices`` over a share table.
+
+    ``choices(population, weights=w)`` builds ``w``'s running sum on every
+    call and then draws exactly as ``choices(population, cum_weights=c)``
+    does with ``c`` that sum, so the table is summed once.  ``outcome`` maps
+    each key to the value the draw returns.
+    """
+    keys = list(shares)
+    population = keys if outcome is None else [outcome[key] for key in keys]
+    return population, list(accumulate(shares[key] for key in keys))
 
 
-def _sample_invite_status(rng: random.Random, targets: Targets) -> InviteStatus:
-    if rng.random() < targets.population.valid_permission_fraction:
+class _SamplingTables:
+    """The per-draw constants of one :class:`Targets`, each built on first use.
+
+    Every draw reads the same floats, in the same order, as a draw that
+    recomputed them from the targets; only the recomputation is gone.  A
+    stream that never draws a permission (a probe-only one, as a streamed
+    run's set-up is) never builds the permission table.
+    """
+
+    def __init__(self, targets: Targets) -> None:
+        self.targets = targets
+
+    @cached_property
+    def permission_bits(self) -> tuple[tuple[float, int], ...]:
+        """``(probability, bit)`` per Fig. 3 permission, in the targets' order."""
+        return tuple(
+            (percent / 100.0, permission_from_name(display_name)._value_)
+            for display_name, percent in self.targets.fig3.percentages.items()
+        )
+
+    @cached_property
+    def extra_scopes(self) -> tuple[tuple[float, OAuthScope], ...]:
+        return tuple(
+            (rate, OAuthScope(scope_name)) for scope_name, rate in self.targets.population.extra_scope_rates.items()
+        )
+
+    @cached_property
+    def invalid_invite(self) -> tuple[list[InviteStatus], list[float]]:
+        return _cumulative(self.targets.population.invalid_breakdown, _INVITE_STATUS_BY_KIND)
+
+    @cached_property
+    def language(self) -> tuple[list[str], list[float]]:
+        return _cumulative(self.targets.code.language_shares)
+
+    @cached_property
+    def invalid_link(self) -> tuple[list[RepoKind], list[float]]:
+        return _cumulative(self.targets.code.invalid_link_breakdown, _REPO_KIND_BY_INVALID_LINK)
+
+    @cached_property
+    def benign_behavior(self) -> tuple[list[str], list[float]]:
+        return _cumulative(self.targets.honeypot.benign_behavior_weights)
+
+
+def _sample_listing(rng: random.Random, rank: int) -> tuple[str, list[str], str]:
+    """The name stream: base name, tags and description."""
+    name = rng.choice(naming.BOT_ADJECTIVES) + rng.choice(naming.BOT_NOUNS) + rng.choice(naming.BOT_SUFFIXES) + str(rank)
+    tags = naming.bot_tags(rng)
+    return name, tags, naming.bot_description(rng, name, tags)
+
+
+def _sample_invite_status(rng: random.Random, tables: _SamplingTables) -> InviteStatus:
+    """The invite stream."""
+    if rng.random() < tables.targets.population.valid_permission_fraction:
         return InviteStatus.VALID
-    breakdown = targets.population.invalid_breakdown
-    kinds = list(breakdown)
-    status = rng.choices(kinds, weights=[breakdown[kind] for kind in kinds], k=1)[0]
-    return {
-        "malformed_link": InviteStatus.MALFORMED,
-        "removed": InviteStatus.REMOVED,
-        "slow_redirect": InviteStatus.SLOW_REDIRECT,
-    }[status]
+    statuses, cum_weights = tables.invalid_invite
+    return rng.choices(statuses, cum_weights=cum_weights)[0]
+
+
+def _sample_grant(rng: random.Random, tables: _SamplingTables) -> tuple[Permissions, tuple[OAuthScope, ...]]:
+    """The perm stream of a bot whose invite works: its Fig. 3 permissions,
+    then the bot scope plus sampled extra scopes."""
+    draw = rng.random
+    value = 0
+    for probability, bit in tables.permission_bits:
+        if draw() < probability:
+            value |= bit
+    scopes = [OAuthScope.BOT]
+    for rate, scope in tables.extra_scopes:
+        if draw() < rate:
+            scopes.append(scope)
+    return Permissions(value), tuple(scopes)
+
+
+def _sample_guild_count(rng: random.Random, population: PopulationTargets) -> int:
+    """The counts stream: a log-normal guild count (it caches a second normal)."""
+    guild_count = int(10 ** rng.gauss(population.guild_count_log10_mean, population.guild_count_log10_sigma))
+    return min(guild_count, population.max_guild_count)
+
+
+def _sample_presence(
+    rng: random.Random,
+    trace: TraceabilityTargets,
+    name: str,
+) -> tuple[str | None, PolicySpec, str]:
+    """The trace stream: website host, policy spec and policy text."""
+    has_website, policy_present, link_valid = _trace_draws(rng, trace)
+    website_host = f"{name.lower()}.botsite.sim" if has_website else None
+    policy = sample_policy_spec(
+        rng,
+        present=policy_present,
+        link_valid=link_valid,
+        complete_fraction=trace.complete_fraction,
+        categories_mentioned_weights=trace.categories_mentioned_weights,
+        generic_reuse_fraction=trace.generic_reuse_fraction,
+    )
+    policy_text = render_policy(policy, name, rng) if policy.present and policy.link_valid else ""
+    return website_host, policy, policy_text
 
 
 def _sample_github(
     rng: random.Random,
-    targets: Targets,
+    tables: _SamplingTables,
     owner: str,
     bot_name: str,
 ) -> RepoSpec | None:
-    code = targets.code
+    """The code stream."""
+    code = tables.targets.code
     if rng.random() >= code.github_link_fraction:
         return None
     if rng.random() < code.valid_repo_given_link:
-        languages = list(code.language_shares)
-        weights = [code.language_shares[language] for language in languages]
-        choice = rng.choices(languages, weights=weights, k=1)[0]
+        languages, cum_weights = tables.language
+        choice = rng.choices(languages, cum_weights=cum_weights)[0]
         if choice == "readme_only":
             return generate_repo(RepoKind.README_ONLY, owner, bot_name, None, False, rng)
         check_rate = code.check_rate_by_language.get(choice, 0.0)
         has_check = rng.random() < check_rate
         return generate_repo(RepoKind.VALID_CODE, owner, bot_name, choice, has_check, rng)
-    breakdown = code.invalid_link_breakdown
-    kinds = list(breakdown)
-    kind_name = rng.choices(kinds, weights=[breakdown[kind] for kind in kinds], k=1)[0]
-    kind = {
-        "user_profile": RepoKind.USER_PROFILE,
-        "no_repositories": RepoKind.NO_REPOSITORIES,
-        "no_public_repositories": RepoKind.NO_PUBLIC_REPOSITORIES,
-        "invalid_link": RepoKind.INVALID_LINK,
-    }[kind_name]
+    kinds, cum_weights = tables.invalid_link
+    kind = rng.choices(kinds, cum_weights=cum_weights)[0]
     return generate_repo(kind, owner, bot_name, None, False, rng)
 
 
-def _sample_behavior(rng: random.Random, config: EcosystemConfig, benign_only: bool) -> str:
-    if not benign_only and rng.random() < config.background_invasive_rate:
+def _sample_behavior(rng: random.Random, tables: _SamplingTables, invasive_rate: float, benign_only: bool) -> str:
+    """The behavior stream."""
+    if not benign_only and rng.random() < invasive_rate:
         return rng.choice((behaviors.EXFILTRATOR, behaviors.NOSY_OPERATOR))
-    weights = config.targets.honeypot.benign_behavior_weights
-    kinds = list(weights)
-    return rng.choices(kinds, weights=[weights[kind] for kind in kinds], k=1)[0]
+    kinds, cum_weights = tables.benign_behavior
+    return rng.choices(kinds, cum_weights=cum_weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +387,13 @@ def developers_for_block(config: EcosystemConfig, block: int) -> tuple[list[Deve
         return [], []
     rng = _derive_rng(config.seed, "devblock", block)
     counts, weights = config.targets.population.developer_count_weights()
+    cum_weights = list(accumulate(weights))
     fraction = config.targets.population.third_party_platform_fraction
     developers: list[Developer] = []
     quotas: list[int] = []
     covered = 0
     while covered < size:
-        quota = min(rng.choices(counts, weights=weights, k=1)[0], size - covered)
+        quota = min(rng.choices(counts, cum_weights=cum_weights)[0], size - covered)
         platform = rng.choice(naming.THIRD_PARTY_PLATFORMS) if rng.random() < fraction else None
         base = rng.choice(naming.DEVELOPER_NAMES)
         tag = f"{base}{block}x{len(developers)}#{rng.randint(1000, 9999)}"
@@ -345,16 +426,19 @@ class MelonianOverlay:
     guild_count: int
 
     @classmethod
-    def compute(cls, config: EcosystemConfig) -> "MelonianOverlay | None":
+    def compute(
+        cls,
+        config: EcosystemConfig,
+        invite_status_at: Callable[[int], InviteStatus],
+    ) -> "MelonianOverlay | None":
+        """The plant for ``config``; ``invite_status_at`` is the stream's invite probe."""
         window = min(config.honeypot_window, config.n_bots)
         if window <= 0:
             return None
-        rng = _derive_rng(config.seed, "melonian", 0)
         # Prefer a bot whose invite actually works; the planted bot must be
         # installable and able to read channels for the incident to occur.
-        candidates = [
-            rank for rank in range(window) if invite_status_at(config, rank) is InviteStatus.VALID
-        ]
+        candidates = [rank for rank in range(window) if invite_status_at(rank) is InviteStatus.VALID]
+        rng = _derive_rng(config.seed, "melonian", 0)
         rank = rng.choice(candidates) if candidates else rng.randrange(window)
         return cls(rank=rank, guild_count=rng.randint(5, 30))  # "present in a few guilds"
 
@@ -370,11 +454,22 @@ class EcosystemStream:
     ``bot_at(rank)`` is O(BLOCK) worst-case (developer-block resolution,
     LRU-cached so sequential scans amortize to O(1) per bot); ``iter_bots``
     yields any rank range without materializing anything else.
+
+    Every per-rank stream draws from one scratch RNG, reseeded through
+    ``Random.seed`` before the stream's first draw; ``Random.seed`` also
+    drops the normal that ``gauss`` caches, so no state crosses from one
+    stream or call to the next.  A stream's draws end before the next one
+    is reseeded, so ``bot_at`` and the probes are not re-entrant: one
+    stream object serves one thread.
     """
 
     def __init__(self, config: EcosystemConfig, block_cache: int = 8) -> None:
         self.config = config
-        self.overlay = MelonianOverlay.compute(config)
+        # Reseeded before every use; the constant seed only spares the
+        # urandom read an unseeded Random makes.
+        self._rng = random.Random(0)
+        self._tables = _SamplingTables(config.targets)
+        self.overlay = MelonianOverlay.compute(config, self.invite_status_at)
         self._window = min(config.honeypot_window, config.n_bots)
         self._block_cache: OrderedDict[int, tuple[list[Developer], list[Developer]]] = OrderedDict()
         self._block_cache_size = max(block_cache, 2)
@@ -406,58 +501,48 @@ class EcosystemStream:
 
     # -- bots --------------------------------------------------------------
 
+    def _reseed(self, stream: str, rank: int) -> random.Random:
+        """The scratch RNG, reseeded for one attribute stream of one rank."""
+        rng = self._rng
+        rng.seed(_stream_seed(self.config.seed, stream, rank))
+        return rng
+
+    def invite_status_at(self, rank: int) -> InviteStatus:
+        """O(1) probe: the rank's invite status before the plant's overlay."""
+        return _sample_invite_status(self._reseed("invite", rank), self._tables)
+
+    def policy_eligible_at(self, rank: int) -> bool:
+        """O(1) probe: whether ``bot_at(rank).policy`` is present with a valid link.
+
+        The manual-review population's predicate, answered from at most three
+        draws of the rank's trace stream instead of a whole profile.  The
+        Melonian overlay leaves the policy alone, so the plant's rank needs no
+        special case.
+        """
+        _, present, link_valid = _trace_draws(self._reseed("trace", rank), self.config.targets.traceability)
+        return present and link_valid
+
     def bot_at(self, rank: int) -> BotProfile:
         if not 0 <= rank < self.config.n_bots:
             raise IndexError(rank)
         config = self.config
-        targets = config.targets
-        seed = config.seed
+        tables = self._tables
         developer = self.developer_at(rank)
-
-        rng_name = _derive_rng(seed, "name", rank)
-        name = (
-            rng_name.choice(naming.BOT_ADJECTIVES)
-            + rng_name.choice(naming.BOT_NOUNS)
-            + rng_name.choice(naming.BOT_SUFFIXES)
-            + str(rank)
-        )
-        tags = naming.bot_tags(rng_name)
-        description = naming.bot_description(rng_name, name, tags)
-
-        invite_status = invite_status_at(config, rank)
-        rng_perm = _derive_rng(seed, "perm", rank)
+        name, tags, description = _sample_listing(self._reseed("name", rank), rank)
+        invite_status = self.invite_status_at(rank)
         if invite_status is InviteStatus.VALID:
-            permissions = _sample_permissions(rng_perm, targets)
-            scopes = _sample_scopes(rng_perm, targets)
+            permissions, scopes = _sample_grant(self._reseed("perm", rank), tables)
         else:
-            permissions = Permissions.none()
-            scopes = (OAuthScope.BOT,)
-
-        rng_counts = _derive_rng(seed, "counts", rank)
-        population = targets.population
-        guild_count = int(10 ** rng_counts.gauss(population.guild_count_log10_mean, population.guild_count_log10_sigma))
-        guild_count = min(guild_count, population.max_guild_count)
-        votes = votes_at(config, rank)
-
-        trace = targets.traceability
-        rng_trace = _derive_rng(seed, "trace", rank)
-        has_website, policy_present, link_valid = _trace_draws(rng_trace, trace)
-        website_host = f"{name.lower()}.botsite.sim" if has_website else None
-        policy = sample_policy_spec(
-            rng_trace,
-            present=policy_present,
-            link_valid=link_valid,
-            complete_fraction=trace.complete_fraction,
-            categories_mentioned_weights=trace.categories_mentioned_weights,
-            generic_reuse_fraction=trace.generic_reuse_fraction,
+            permissions, scopes = Permissions.none(), (OAuthScope.BOT,)
+        guild_count = _sample_guild_count(self._reseed("counts", rank), config.targets.population)
+        website_host, policy, policy_text = _sample_presence(
+            self._reseed("trace", rank), config.targets.traceability, name
         )
-        policy_text = render_policy(policy, name, rng_trace) if policy.present and policy.link_valid else ""
-
         owner = developer.tag.split("#")[0]
-        github = _sample_github(_derive_rng(seed, "code", rank), targets, owner, name)
-
-        rng_behavior = _derive_rng(seed, "behavior", rank)
-        behavior = _sample_behavior(rng_behavior, config, benign_only=rank < self._window)
+        github = _sample_github(self._reseed("code", rank), tables, owner, name)
+        behavior = _sample_behavior(
+            self._reseed("behavior", rank), tables, config.background_invasive_rate, benign_only=rank < self._window
+        )
 
         profile = BotProfile(
             index=rank,
@@ -467,7 +552,7 @@ class EcosystemStream:
             tags=tags,
             description=description,
             guild_count=guild_count,
-            votes=votes,
+            votes=votes_at(config, rank),
             invite_status=invite_status,
             permissions=permissions,
             scopes=scopes,
@@ -693,7 +778,9 @@ def generate_ecosystem(config: EcosystemConfig | None = None) -> Ecosystem:
     they are produced by the same per-rank definition.
     """
     config = config or EcosystemConfig()
-    stream = EcosystemStream(config, block_cache=4)
+    # A block cache that holds every block: the developer map below walks
+    # the blocks the bots already generated, and keeps them all anyway.
+    stream = EcosystemStream(config, block_cache=block_count(config))
     bots = list(stream.iter_bots())
     developers = {dev.tag: dev for dev in stream.iter_developers()}
     return Ecosystem(config=config, bots=bots, developers=developers, overlay=stream.overlay)
@@ -705,38 +792,29 @@ def _generate_bot(
     developer: Developer,
     tags: list[str],
     rng: random.Random,
-    targets: Targets,
+    tables: _SamplingTables,
 ) -> BotProfile:
     """Sequential-RNG bot builder kept for epoch evolution's fresh entrants.
 
     Evolved snapshots are materialized mutations, not stream-addressable
     populations, so their new bots draw from the caller's shared RNG the way
-    the original generator did.
+    the original generator did, through the stream's samplers: invite, perm,
+    guild count, votes, trace, code and description, in that order.
     """
-    invite_status = _sample_invite_status(rng, targets)
-    permissions = _sample_permissions(rng, targets) if invite_status is InviteStatus.VALID else Permissions.none()
-    scopes = _sample_scopes(rng, targets) if invite_status is InviteStatus.VALID else (OAuthScope.BOT,)
+    targets = tables.targets
+    invite_status = _sample_invite_status(rng, tables)
+    if invite_status is InviteStatus.VALID:
+        permissions, scopes = _sample_grant(rng, tables)
+    else:
+        permissions, scopes = Permissions.none(), (OAuthScope.BOT,)
     population = targets.population
-    guild_count = int(10 ** rng.gauss(population.guild_count_log10_mean, population.guild_count_log10_sigma))
-    guild_count = min(guild_count, population.max_guild_count)
+    guild_count = _sample_guild_count(rng, population)
     votes = min(
         int(10 ** rng.gauss(population.vote_count_log10_mean, population.vote_count_log10_sigma)),
         population.max_vote_count,
     )
-
-    trace = targets.traceability
-    has_website, policy_present, link_valid = _trace_draws(rng, trace)
-    website_host = f"{name.lower()}.botsite.sim" if has_website else None
-    policy = sample_policy_spec(
-        rng,
-        present=policy_present,
-        link_valid=link_valid,
-        complete_fraction=trace.complete_fraction,
-        categories_mentioned_weights=trace.categories_mentioned_weights,
-        generic_reuse_fraction=trace.generic_reuse_fraction,
-    )
-    policy_text = render_policy(policy, name, rng) if policy.present and policy.link_valid else ""
-    github = _sample_github(rng, targets, developer.tag.split("#")[0], name)
+    website_host, policy, policy_text = _sample_presence(rng, targets.traceability, name)
+    github = _sample_github(rng, tables, developer.tag.split("#")[0], name)
 
     return BotProfile(
         index=index,

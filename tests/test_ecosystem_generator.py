@@ -13,6 +13,7 @@ from repro.ecosystem.generator import (
     InviteStatus,
     generate_ecosystem,
 )
+from repro.ecosystem import stream as stream_module
 from repro.ecosystem.repos import RepoKind
 
 
@@ -32,6 +33,23 @@ class TestDeterminism:
         a = generate_ecosystem(EcosystemConfig(n_bots=100, seed=5))
         b = generate_ecosystem(EcosystemConfig(n_bots=100, seed=6))
         assert [bot.name for bot in a.bots] != [bot.name for bot in b.bots]
+
+
+class TestDeveloperBlocks:
+    def test_each_block_is_generated_once(self, monkeypatch):
+        """The bots and the developer map share one walk of the blocks."""
+        calls = []
+        generate_block = stream_module.developers_for_block
+
+        def counted(config, block):
+            calls.append(block)
+            return generate_block(config, block)
+
+        monkeypatch.setattr(stream_module, "developers_for_block", counted)
+        config = EcosystemConfig(n_bots=9 * stream_module.BLOCK + 40, seed=3)
+        ecosystem = generate_ecosystem(config)
+        assert calls == list(range(stream_module.block_count(config))) == list(range(10))
+        assert sum(dev.bot_count for dev in ecosystem.developers.values()) == config.n_bots
 
 
 class TestCalibration:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AssessmentPipeline
 from repro.ecosystem import names
-from repro.ecosystem.stream import EcosystemConfig, EcosystemStream, generate_ecosystem, policy_eligible_at
+from repro.ecosystem.stream import EcosystemConfig, EcosystemStream, generate_ecosystem
 from repro.traceability.analyzer import TraceabilityAnalyzer
 from repro.traceability.validation import ManualReviewValidator
 
@@ -72,9 +72,9 @@ class TestStreamedValidation:
 class TestPolicyProbe:
     def test_probe_agrees_with_the_built_profile_on_every_rank(self):
         for seed in (1, 7, 39, 2022):
-            config = EcosystemConfig(n_bots=1_200, seed=seed, honeypot_window=WINDOW)
-            for bot in EcosystemStream(config).iter_bots():
-                assert policy_eligible_at(config, bot.index) == (bot.policy.present and bot.policy.link_valid), (
+            stream = EcosystemStream(EcosystemConfig(n_bots=1_200, seed=seed, honeypot_window=WINDOW))
+            for bot in stream.iter_bots():
+                assert stream.policy_eligible_at(bot.index) == (bot.policy.present and bot.policy.link_valid), (
                     seed,
                     bot.index,
                 )
