@@ -158,8 +158,13 @@ class VerdictCache:
     def count_miss(self) -> None:
         self.misses += 1
 
-    def store(self, bot: BotProfile, payload: dict[str, Any], now: float) -> CacheEntry:
-        entry = CacheEntry(payload=dict(payload), fingerprint=bot_fingerprint(bot), stored_at=now)
+    def store(
+        self, bot: BotProfile, payload: dict[str, Any], now: float, fingerprint: str | None = None
+    ) -> CacheEntry:
+        """Cache ``payload`` for ``bot``; ``fingerprint`` is its digest if already computed."""
+        if fingerprint is None:
+            fingerprint = bot_fingerprint(bot)
+        entry = CacheEntry(payload=dict(payload), fingerprint=fingerprint, stored_at=now)
         entry.inputs = fingerprint_inputs(bot)
         if bot.name in self.entries:
             # Re-store refreshes recency as well as content.

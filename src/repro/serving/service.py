@@ -286,13 +286,13 @@ class VettingService(VirtualHost):
                 return self._serve(payload, budget)
             self.metrics.revalidations += 1
 
-        payload = self._vet_bot(bot, budget)
+        payload, fingerprint = self._vet_bot(bot, budget)
         payload["cache"] = "revalidated" if cached is not None else "miss"
         payload["virtual_latency"] = round(budget.latency, 6)
         if not payload["degraded"]:
             # Partial (honeypot-skipped) verdicts are not cached: a later,
             # healthier request should produce the full verdict.
-            self.cache.store(bot, self._cacheable(payload), now)
+            self.cache.store(bot, self._cacheable(payload), now, fingerprint)
         else:
             self.metrics.degraded += 1
         return self._serve(payload, budget)
@@ -355,7 +355,13 @@ class VettingService(VirtualHost):
 
     # -- the staged vet under a deadline budget -------------------------------
 
-    def _vet_bot(self, bot: BotProfile, budget: DeadlineBudget) -> dict[str, Any]:
+    def _vet_bot(self, bot: BotProfile, budget: DeadlineBudget) -> tuple[dict[str, Any], str]:
+        """The verdict payload, and the fingerprint it reviewed for the cache entry.
+
+        The profile is digested once here: the pool's job keys and the
+        entry the caller stores share the digest.
+        """
+        fingerprint = bot_fingerprint(bot)
         verdict = VettingVerdict(bot_name=bot.name, approved=True)
         stages: dict[str, str] = {}
         evidence: dict[str, str] = {}
@@ -369,8 +375,8 @@ class VettingService(VirtualHost):
             self.pipeline.review_static(bot, verdict)
             stages["static"] = "completed"
             stages["traceability"] = self._stage_traceability(bot, budget, evidence)
-            stages["code"] = self._stage_code(bot, verdict, budget)
-            stages["honeypot"] = self._stage_honeypot(bot, verdict, budget)
+            stages["code"] = self._stage_code(bot, verdict, budget, fingerprint)
+            stages["honeypot"] = self._stage_honeypot(bot, verdict, budget, fingerprint)
 
         return {
             "bot": bot.name,
@@ -381,7 +387,7 @@ class VettingService(VirtualHost):
             "stages": stages,
             "evidence": evidence,
             "vetted_at": round(budget.start, 6),
-        }
+        }, fingerprint
 
     def _stage_traceability(
         self, bot: BotProfile, budget: DeadlineBudget, evidence: dict[str, str]
@@ -471,7 +477,9 @@ class VettingService(VirtualHost):
             self._retry_budget = RetryBudget(self.policy.retry_budget)
         return self._retry_budget.spend()
 
-    def _stage_code(self, bot: BotProfile, verdict: VettingVerdict, budget: DeadlineBudget) -> str:
+    def _stage_code(
+        self, bot: BotProfile, verdict: VettingVerdict, budget: DeadlineBudget, fingerprint: str
+    ) -> str:
         if bot.github is None or not bot.github.has_source_code:
             return "not_applicable"
         if not budget.affords(self.policy.code_cost):
@@ -487,10 +495,12 @@ class VettingService(VirtualHost):
             verdict.skipped_stages.append("code")
             return "skipped"
         budget.charge("code", (lease.start - budget.cursor) + self.policy.code_cost)
-        self._run_code(bot, verdict)
+        self._run_code(bot, verdict, fingerprint)
         return "completed"
 
-    def _stage_honeypot(self, bot: BotProfile, verdict: VettingVerdict, budget: DeadlineBudget) -> str:
+    def _stage_honeypot(
+        self, bot: BotProfile, verdict: VettingVerdict, budget: DeadlineBudget, fingerprint: str
+    ) -> str:
         if not self.pipeline.policy.run_dynamic_review or not verdict.approved:
             return "not_run"
         estimate = self.policy.honeypot_observation + self.policy.honeypot_overhead
@@ -511,7 +521,7 @@ class VettingService(VirtualHost):
             self.ledger.record("serving.honeypot", self.hostname, "BulkheadSaturated",
                                self.clock.now(), detail=f"{bot.name}: {error}")
             return "skipped"
-        consumed = self._run_honeypot(bot, verdict)
+        consumed = self._run_honeypot(bot, verdict, fingerprint)
         budget.charge("honeypot", (lease.start - budget.cursor) + consumed)
         self.bulkheads["honeypot"].release(lease, lease.start + consumed)
         return "completed"
@@ -529,12 +539,12 @@ class VettingService(VirtualHost):
     # slots, re-dispatch budget spent) returns None and the stage runs
     # in-process: the "in-process fallback" rung of the extended ladder.
 
-    def _job_key(self, bot: BotProfile, kind: str) -> str:
-        return f"{bot.name}:{bot_fingerprint(bot)}:{self._epochs.get(bot.name, 0)}:{kind}"
+    def _job_key(self, bot: BotProfile, fingerprint: str, kind: str) -> str:
+        return f"{bot.name}:{fingerprint}:{self._epochs.get(bot.name, 0)}:{kind}"
 
-    def _run_code(self, bot: BotProfile, verdict: VettingVerdict) -> None:
+    def _run_code(self, bot: BotProfile, verdict: VettingVerdict, fingerprint: str) -> None:
         if self.pool is not None:
-            result = self.pool.execute("code", bot, key=self._job_key(bot, "code"))
+            result = self.pool.execute("code", bot, key=self._job_key(bot, fingerprint, "code"))
             if result is not None:
                 if not result["approved"]:
                     verdict.approved = False
@@ -542,12 +552,12 @@ class VettingService(VirtualHost):
                 return
         self.pipeline.review_code(bot, verdict)
 
-    def _run_honeypot(self, bot: BotProfile, verdict: VettingVerdict) -> float:
+    def _run_honeypot(self, bot: BotProfile, verdict: VettingVerdict, fingerprint: str) -> float:
         if self.pool is not None:
             result = self.pool.execute(
                 "honeypot",
                 bot,
-                key=self._job_key(bot, "honeypot"),
+                key=self._job_key(bot, fingerprint, "honeypot"),
                 observation=self.policy.honeypot_observation,
             )
             if result is not None:
@@ -614,10 +624,10 @@ class VettingService(VirtualHost):
                 verdicts.append(entry)
                 budget.charge("lookup", self.policy.cache_lookup_cost)
                 continue
-            entry = self._vet_bot(bot, budget)
+            entry, fingerprint = self._vet_bot(bot, budget)
             entry["cache"] = "miss"
             if not entry["degraded"]:
-                self.cache.store(bot, self._cacheable(entry), self.clock.now())
+                self.cache.store(bot, self._cacheable(entry), self.clock.now(), fingerprint)
             degraded = degraded or entry["degraded"]
             verdicts.append(entry)
         approved = sum(1 for entry in verdicts if entry.get("approved"))

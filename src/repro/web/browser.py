@@ -106,6 +106,11 @@ class Browser:
     ``page_load_timeout`` mirrors Selenium's setting; fetches that exceed it
     surface as :class:`TimeoutException`, which is what the paper's scraper
     catches around slow redirect chains.
+
+    A page the browser leaves is released: navigation empties its parsed
+    document, so reference counting frees it without the cycle collector.
+    Every :class:`WebElement` located on it raises
+    :class:`StaleElementReferenceException` from then on.
     """
 
     def __init__(
@@ -138,6 +143,12 @@ class Browser:
 
     def _install_page(self, response: Response) -> None:
         self._generation += 1
+        if self._dom is not None:
+            # A parsed page is a reference cycle: each element holds the node
+            # list that holds it.  Emptying the list of the page being left,
+            # whose WebElements just went stale, lets reference counting free
+            # it now instead of the cycle collector later.
+            self._dom._nodes.clear()
         self._response = response
         self._dom = parse_html(response.body) if "html" in response.content_type else parse_html("")
         self.current_url = response.url or self.current_url

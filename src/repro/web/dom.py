@@ -8,6 +8,16 @@ position (``index``) and the position just past its last descendant
 order is an integer compare.  A tree is read-only once :func:`parse_html`
 returns.
 
+Every element holds the document's node list, which holds every element,
+so a parsed tree is a reference cycle that only the cycle collector frees.
+:class:`repro.web.browser.Browser` breaks it for each page it leaves: it
+empties the page's node list, and reference counting frees the elements
+at once.  A released element has lost its subtree (its ``text`` reads
+empty; a search below it finds nothing or fails), which no caller of the
+browser can see, because every ``WebElement`` accessor raises
+``StaleElementReferenceException`` for a page the browser has left.  A
+tree parsed outside a browser is never released.
+
 Two tokenizers feed one tree builder.  A single regular expression covers
 the strict subset of HTML the virtual sites serve: text without ``<``,
 end tags ``</name>``, and start tags whose attributes are bare or quoted.

@@ -96,7 +96,7 @@ def test_a_fresh_hit_returns_the_bytes_of_encoding_it_afresh(stored, revetted, l
 
         # An update supersedes the entry; the re-vet stores a new one.
         service.update_bot(BOT)
-        service._vet_bot = lambda bot, budget: dict(revetted)
+        service._vet_bot = lambda bot, budget: (dict(revetted), bot_fingerprint(bot))
         assert json.loads(vet(service, BOT.name))["cache"] == "revalidated"
         assert vet(service, BOT.name) == hit_bytes(revetted, latency)
         assert vet(service, BOT.name) == hit_bytes(revetted, latency)
@@ -142,7 +142,8 @@ EDITS = {
 def test_an_edited_profile_is_fresh_exactly_when_its_fingerprint_is_unchanged(edit):
     bot = fresh_bot()
     service = build_service(bot)
-    service._vet_bot = lambda profile, budget: {"bot": profile.name, "approved": True, "degraded": False}
+    service._vet_bot = lambda profile, budget: (
+        {"bot": profile.name, "approved": True, "degraded": False}, bot_fingerprint(profile))
     assert json.loads(vet(service, bot.name))["cache"] == "miss"
     assert json.loads(vet(service, bot.name))["cache"] == "hit"
     before = bot_fingerprint(bot)

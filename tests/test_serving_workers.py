@@ -15,6 +15,8 @@ import time
 
 import pytest
 
+import repro.serving.cache as cache_module
+import repro.serving.service as service_module
 import repro.serving.workers as workers_module
 from repro.core.vetting import VettingPipeline, VettingPolicy, VettingVerdict
 from repro.discordsim import behaviors
@@ -31,6 +33,7 @@ from repro.serving import (
     WorkerPool,
     WorkerPoolPolicy,
 )
+from repro.serving.cache import bot_fingerprint
 from repro.serving.workers import bot_profile_from_payload, bot_profile_to_payload
 from repro.sites.botwebsites import BotWebsiteBuilder
 from repro.web.chaos import FaultSchedule
@@ -421,12 +424,45 @@ class TestServiceWithPool:
         finally:
             service.shutdown()
 
+    def test_a_cold_vet_digests_the_profile_once(self, ecosystem, monkeypatch):
+        """Both pool jobs' keys and the stored verdict share one digest of the profile."""
+        bot = clean_bot(ecosystem, name="coded")
+        bot.github = next(b.github for b in ecosystem.bots if b.github is not None and b.github.has_source_code)
+        digested = []
+
+        def counted(profile):
+            digested.append(profile.name)
+            return bot_fingerprint(profile)
+
+        monkeypatch.setattr(service_module, "bot_fingerprint", counted)
+        monkeypatch.setattr(cache_module, "bot_fingerprint", counted)
+        internet, service, client = build_world(ecosystem, workers=2, bots={bot.name: bot})
+        keys = []
+        execute = service.pool.execute
+
+        def recorded(kind, profile, key, **kwargs):
+            keys.append(key)
+            return execute(kind, profile, key=key, **kwargs)
+
+        service.pool.execute = recorded
+        try:
+            response, payload = get_json(client, service, "/vet/coded")
+            assert response.status == 200 and payload["cache"] == "miss"
+            assert payload["stages"]["code"] == payload["stages"]["honeypot"] == "completed"
+            assert service.pool.fallbacks == 0
+            assert digested == ["coded"]
+            fingerprint = bot_fingerprint(bot)
+            assert keys == [f"coded:{fingerprint}:0:code", f"coded:{fingerprint}:0:honeypot"]
+            assert service.cache.entries["coded"].fingerprint == fingerprint
+        finally:
+            service.shutdown()
+
     def test_update_bumps_job_epoch(self, ecosystem):
         internet, service, client = build_world(ecosystem, workers=0)
         bot = ecosystem.bots[0]
-        key_before = service._job_key(bot, "honeypot")
+        key_before = service._job_key(bot, bot_fingerprint(bot), "honeypot")
         client.post(f"https://{service.hostname}/bots/{bot.name}/update")
-        key_after = service._job_key(bot, "honeypot")
+        key_after = service._job_key(bot, bot_fingerprint(bot), "honeypot")
         assert key_before != key_after
         assert key_before.rsplit(":", 2)[0] == key_after.rsplit(":", 2)[0]
 

@@ -1,7 +1,11 @@
-"""Tests for the Selenium-like browser: locators, waits, exceptions."""
+"""Tests for the Selenium-like browser: locators, waits, exceptions, page lifetime."""
+
+import gc
 
 import pytest
 
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import AssessmentPipeline
 from repro.web.browser import (
     Browser,
     By,
@@ -12,6 +16,7 @@ from repro.web.browser import (
     WebDriverWait,
     presence_of_element_located,
 )
+from repro.web.dom import Element
 from repro.web.http import Response
 from repro.web.network import HostConditions
 from repro.web.server import VirtualHost
@@ -109,6 +114,17 @@ class TestLocators:
         assert body.find_element(By.ID, "next").tag_name == "a"
 
 
+#: Each ``WebElement`` accessor: the first page's element it applies to, and the call.
+ACCESSORS = {
+    "text": ("a#next", lambda element: element.text),
+    "tag_name": ("a#next", lambda element: element.tag_name),
+    "get_attribute": ("a#next", lambda element: element.get_attribute("href")),
+    "find_element": ("body", lambda element: element.find_element(By.ID, "next")),
+    "find_elements": ("body", lambda element: element.find_elements(By.CSS_SELECTOR, "p")),
+    "click": ("a#next", lambda element: element.click()),
+}
+
+
 class TestClickAndStaleness:
     def test_click_navigates(self, browser):
         browser.get("https://site.sim/")
@@ -116,12 +132,17 @@ class TestClickAndStaleness:
         assert browser.title == "Second"
         assert str(browser.current_url) == "https://site.sim/second"
 
-    def test_element_goes_stale_after_navigation(self, browser):
+    @pytest.mark.parametrize("scope", ["page", "element"])
+    @pytest.mark.parametrize("accessor", list(ACCESSORS))
+    def test_element_goes_stale_after_navigation(self, browser, accessor, scope):
+        """Every accessor checks its page first: a left page never answers, even emptily."""
         browser.get("https://site.sim/")
-        element = browser.find_element(By.ID, "next")
+        selector, use = ACCESSORS[accessor]
+        locator = browser if scope == "page" else browser.find_element(By.TAG_NAME, "html")
+        element = locator.find_element(By.CSS_SELECTOR, selector)
         browser.get("https://site.sim/second")
         with pytest.raises(StaleElementReferenceException):
-            _ = element.text
+            use(element)
 
     def test_click_non_link_raises(self, browser):
         browser.get("https://site.sim/")
@@ -153,3 +174,60 @@ class TestWaits:
         browser.get("https://site.sim/")
         result = WebDriverWait(browser, 1.0).until(lambda b: b.title == "Home" and "yes")
         assert result == "yes"
+
+
+@pytest.fixture
+def collector():
+    """The cycle collector with an empty ``gc.garbage``, put back as the test found it however it ends."""
+    enabled, garbage = gc.isenabled(), list(gc.garbage)
+    gc.garbage.clear()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage[:] = garbage
+        if enabled:
+            gc.enable()
+
+
+def _elements() -> list[Element]:
+    return [obj for obj in gc.get_objects() if type(obj) is Element]
+
+
+class TestPageLifetime:
+    """A page the browser leaves is freed by reference counting, not the cycle collector."""
+
+    def test_only_the_current_page_stays_alive_without_the_collector(self, browser, collector):
+        gc.collect()
+        before = _elements()  # held, so no new element can reuse their ids
+        known = {id(element) for element in before}
+        gc.disable()
+        for _ in range(50):
+            browser.get("https://site.sim/")
+            browser.get("https://site.sim/second")
+        alive = [element for element in _elements() if id(element) not in known]
+        assert browser.title == "Second"
+        assert sorted(map(id, alive)) == sorted(map(id, browser._dom.iter()))
+
+    def test_a_run_leaves_the_collector_only_each_browsers_last_page(self, collector, monkeypatch):
+        current: set[int] = set()  # the document root each browser shows
+        install = Browser._install_page
+
+        def tracked(browser, response):
+            if browser._dom is not None:
+                current.discard(id(browser._dom))
+            install(browser, response)
+            current.add(id(browser._dom))
+
+        monkeypatch.setattr(Browser, "_install_page", tracked)
+        config = PipelineConfig(n_bots=200, seed=1, honeypot_sample_size=10)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        assert AssessmentPipeline(config).run().bots_collected == 200
+        gc.collect()
+        # The run's object graph is unreachable now, so the collector has
+        # saved each cycle it built; the only pages among them must be the
+        # ones the browsers were still showing.
+        left = [obj for obj in gc.garbage if type(obj) is Element]
+        documents = {id(element._nodes[0]) if element._nodes else None for element in left}
+        assert current and documents <= current
