@@ -81,16 +81,16 @@ def parse_invite_url(raw: str) -> InviteLink:
     url = Url.parse(raw)
     if "/oauth2/authorize" not in url.path:
         raise InviteLinkError(f"not an oauth authorise path: {raw!r}")
-    params = url.query_params()
     try:
-        client_id = int(params["client_id"])
-    except (KeyError, ValueError):
+        # A missing client_id reads as "", which int() refuses like a malformed one.
+        client_id = int(url.param("client_id", ""))
+    except ValueError:
         raise InviteLinkError(f"missing or malformed client_id in {raw!r}") from None
     try:
-        permissions = Permissions(int(params.get("permissions", "0")))
+        permissions = Permissions(int(url.param("permissions", "0")))
     except ValueError:
         raise InviteLinkError(f"malformed permissions bitfield in {raw!r}") from None
-    raw_scopes = params.get("scope", "bot").replace("%20", " ").split()
+    raw_scopes = url.param("scope", "bot").replace("%20", " ").split()
     scopes: list[OAuthScope] = []
     for name in raw_scopes:
         try:

@@ -57,10 +57,8 @@ class DiscordWebsite:
     # -- routes ------------------------------------------------------------
 
     def _authorize(self, request: Request) -> Response:
-        params = request.url.query_params()
-        raw_client_id = params.get("client_id", "")
         try:
-            client_id = int(raw_client_id)
+            client_id = int(request.param("client_id", ""))
         except ValueError:
             return Response.html(_error_page("Invalid OAuth2 authorize request"), status=400)
         if self._by_client_id is not None:
@@ -83,7 +81,10 @@ class DiscordWebsite:
         return Response.html(screen.render_html())
 
     def _slow_hop(self, request: Request, n: str) -> Response:
-        hop = int(n)
+        try:
+            hop = int(n)
+        except ValueError:
+            return Response.not_found(f"{SLOW_CDN_HOSTNAME}: no hop {n}")
         client_id = request.param("client_id", "0")
         if hop < SLOW_HOPS:
             return Response.redirect(f"https://{SLOW_CDN_HOSTNAME}/hop/{hop + 1}?client_id={client_id}")

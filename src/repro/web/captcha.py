@@ -201,16 +201,16 @@ class TwoCaptchaClient:
         """
         if policy is not None:
             attempts = policy.max_attempts
-        last: CaptchaSolveError | None = None
-        for attempt in range(max(attempts, 1)):
+        for attempt in range(attempts - 1):
             try:
                 return self.solve(prompt)
-            except CaptchaSolveError as error:
-                last = error
-                if policy is not None and policy.should_retry(attempt + 1):
+            except CaptchaSolveError:
+                if policy is not None:
                     self.clock.sleep(policy.delay(attempt))
-        assert last is not None
-        raise last
+        # The last attempt's error propagates as raised.  Kept in a local,
+        # it would form a cycle with this frame, which its traceback holds,
+        # and every failed solve would leave that cycle to the collector.
+        return self.solve(prompt)
 
     @staticmethod
     def _read_prompt(prompt: str) -> str | None:

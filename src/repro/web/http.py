@@ -38,13 +38,17 @@ REASON_PHRASES: dict[int, str] = {
 
 REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 
+#: What an absolute reference starts with in each scheme whose references
+#: :meth:`Url.join` may parse without ``urljoin``.
+_ABSOLUTE_PREFIXES = {"http": "http://", "https": "https://"}
+
 
 class Url:
     """A parsed URL, immutable once built.
 
     Only ``http``/``https`` URLs appear on the virtual internet; the scheme is
     carried through but does not change routing behaviour.  The text is
-    composed once per instance and the query parameters decoded on first
+    composed once per instance and the query string decoded once, on first
     use; :meth:`parse` hands equal strings one shared instance, which is
     why no attribute can be assigned.
     """
@@ -92,8 +96,29 @@ class Url:
         return _parse(raw)
 
     def join(self, reference: str) -> "Url":
-        """Resolve ``reference`` against this URL (RFC 3986 resolution)."""
-        return Url.parse(urllib.parse.urljoin(self._text, reference))
+        """Resolve ``reference`` against this URL (RFC 3986 resolution).
+
+        An absolute reference in this URL's scheme, ``http`` or ``https``,
+        with a non-empty authority resolves to itself, so it is parsed as
+        it is: ``urljoin`` would parse this URL and the reference and
+        rebuild the reference's text first.  A reference whose text that
+        rebuild can change goes through ``urljoin``, as every other does:
+        one holding a tab, CR or LF (``urlsplit`` deletes them) or a ``;``
+        (``urlparse`` splits path parameters off and drops an empty one).
+        """
+        prefix = _ABSOLUTE_PREFIXES.get(self.scheme)
+        if (
+            prefix is not None
+            and reference.startswith(prefix)
+            # "" (the end of the string) is in "/?#" too: no authority.
+            and reference[len(prefix) : len(prefix) + 1] not in "/?#"
+            and "\t" not in reference
+            and "\r" not in reference
+            and "\n" not in reference
+            and ";" not in reference
+        ):
+            return _parse(reference)
+        return _parse(urllib.parse.urljoin(self._text, reference))
 
     @property
     def is_absolute(self) -> bool:
@@ -102,13 +127,21 @@ class Url:
     def query_params(self) -> dict[str, str]:
         """Decode the query string into a flat ``dict`` (last value wins).
 
-        Decoded once per instance; every call returns a dict of its own.
+        Decoded once per instance; every call returns a dict of its own,
+        which the caller may change (:meth:`with_params` does).
         """
+        return dict(self._decoded())
+
+    def param(self, name: str, default: str | None = None) -> str | None:
+        """Return one query parameter, read from the decoded query in place."""
+        return self._decoded().get(name, default)
+
+    def _decoded(self) -> dict[str, str]:
         params = self._params
         if params is None:
-            params = dict(urllib.parse.parse_qsl(self.query, keep_blank_values=True))
+            params = _decode_query(self.query)
             object.__setattr__(self, "_params", params)
-        return dict(params)
+        return params
 
     def with_params(self, **params: str) -> "Url":
         """Return a copy with ``params`` merged into the query string."""
@@ -165,6 +198,27 @@ def _parse(raw: str) -> Url:
         query=parts.query,
         fragment=parts.fragment,
     )
+
+
+def _decode_query(query: str) -> dict[str, str]:
+    """``dict(parse_qsl(query, keep_blank_values=True))``, unquoting only what needs it.
+
+    Same fields, values and key order: empty fields are skipped, a field
+    without ``=`` has an empty value, the last value of a name wins in the
+    order names first appear, and a name or value is decoded as
+    ``unquote_plus`` decodes it.  ``unquote`` leaves a string without ``%``
+    as it is, so only one holding ``%`` or ``+`` pays for the call.
+    """
+    params: dict[str, str] = {}
+    for field_text in query.split("&"):
+        if field_text:
+            name, _, value = field_text.partition("=")
+            if "%" in name or "+" in name:
+                name = urllib.parse.unquote(name.replace("+", " "))
+            if "%" in value or "+" in value:
+                value = urllib.parse.unquote(value.replace("+", " "))
+            params[name] = value
+    return params
 
 
 class Headers:
@@ -230,8 +284,8 @@ class Request:
         return self.url.path
 
     def param(self, name: str, default: str | None = None) -> str | None:
-        """Return a query-string parameter."""
-        return self.url.query_params().get(name, default)
+        """Return a query-string parameter, read in place (see :meth:`Url.param`)."""
+        return self.url.param(name, default)
 
     def cookie(self, name: str, default: str | None = None) -> str | None:
         """Return a cookie value from the ``Cookie`` header."""

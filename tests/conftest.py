@@ -7,6 +7,8 @@ across tests is safe and keeps the suite fast.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.config import PipelineConfig
@@ -24,6 +26,20 @@ def _pristine_disk():
     uninstall_faults()
     yield
     uninstall_faults()
+
+
+@pytest.fixture
+def collector():
+    """The cycle collector with an empty ``gc.garbage``, put back as the test found it however it ends."""
+    enabled, garbage = gc.isenabled(), list(gc.garbage)
+    gc.garbage.clear()
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage[:] = garbage
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

@@ -6,6 +6,11 @@ again.  Both rest on facts about ``urllib.parse`` checked here on the
 running Python: a memoized parse has the fields of an uncached one (or
 raises the same error), and parsing a ``Url``'s text gives back its fields
 for every URL form the sites, the scraper and the vetting service build.
+
+A redirect is resolved and its query read without ``urllib.parse``'s
+round trips: ``Url.join`` parses an absolute reference in the base's
+scheme as it is, and the query decoder replaces ``parse_qsl``.  Both are
+checked against those functions here, which stay as the oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import urllib.parse
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import PipelineConfig
@@ -150,3 +155,126 @@ def test_every_url_sent_survives_a_reparse(sent_urls):
     assert any(url.path.endswith(("/privacy", "/privacy-policy", "/legal/privacy")) for url in sent_urls)
     for url in sent_urls:
         assert fields(Url.parse(str(url))) == fields(url), url
+
+
+# -- join resolves as urljoin resolves --------------------------------------------
+
+#: Characters that ``urljoin`` or ``urlsplit`` rewrite or read specially.
+hostile_chars = st.sampled_from(
+    ["\t", "\r", "\n", ";", ";p", " ", "\x00", "%", "%zz", "#", "?", "/", "[", "]", "@", ":", "\\"]
+)
+#: Empty, upper-case and IPv6 authorities, and ports that raise.
+hostile_authorities = st.one_of(
+    st.just(""),
+    st.builds(lambda host, port: host + port, raw_hosts, raw_ports),
+    st.sampled_from(["[::1]", "[::1", "::1]", "user:pw@a.sim", "a.sim:-1", "a.sim: 8", "A.SIM", "a.sim:8x"]),
+)
+reference_schemes = st.sampled_from(
+    ["https://", "http://", "HTTPS://", "Http://", "ftp://", "//", "", "https:", "https:/", "https:///", "mailto:"]
+)
+
+
+@st.composite
+def hostile_references(draw) -> str:
+    """Absolute, scheme-relative and relative references, with a hostile character spliced in."""
+    scheme = draw(reference_schemes)
+    authority = draw(hostile_authorities) if scheme.endswith("//") else ""
+    reference = scheme + authority + draw(raw_paths) + draw(raw_queries) + draw(raw_fragments)
+    for _ in range(draw(st.integers(0, 2))):
+        # Often just after the scheme, where a deleted character empties the authority.
+        at = draw(st.one_of(st.just(len(scheme)), st.integers(0, len(reference))))
+        reference = reference[:at] + draw(hostile_chars) + reference[at:]
+    return reference
+
+
+def parsed_bases() -> st.SearchStrategy[Url]:
+    """Bases of every scheme the parser gives: http, https, other and upper-case schemes."""
+
+    def parse_or_none(raw: str) -> Url | None:
+        try:
+            return Url.parse(raw)
+        except ValueError:
+            return None
+
+    parsed = raw_urls().map(parse_or_none).filter(lambda url: url is not None and url.is_absolute)
+    return st.one_of(site_urls(), invites, parsed)
+
+
+def joined_by_urljoin(base: Url, reference: str) -> Url:
+    return Url.parse(urllib.parse.urljoin(str(base), reference))
+
+
+@settings(max_examples=1500)
+@given(
+    base=parsed_bases(),
+    reference=st.one_of(
+        hostile_references(),
+        st.text(max_size=20).map("https://".__add__),
+        st.one_of(site_urls(), invites).map(str),  # what the sites send back: redirects, absolute links
+    ),
+)
+@example(base=Url.parse("https://a.sim/p"), reference="https://\n/x")
+@example(base=Url.parse("https://a.sim/p"), reference="https://\t")
+@example(base=Url.parse("http://a.sim/p"), reference="http://\r?q")
+@example(base=Url.parse("https://a.sim/p"), reference="https://b.sim/x;")
+@example(base=Url.parse("https://a.sim/p"), reference="https://b.sim/x;?q")
+@example(base=Url.parse("https://a.sim/p"), reference="https://b.sim:99999/")
+def test_join_gives_what_urljoin_then_parse_gives(base, reference):
+    assert outcome(base.join, reference) == outcome(lambda raw: joined_by_urljoin(base, raw), reference)
+
+
+@pytest.mark.parametrize(
+    ("reference", "resolved_by_urljoin"),
+    [
+        ("https://slowcdn.discord.sim/hop/1?client_id=1", False),
+        ("https://discord.sim/oauth2/authorize?client_id=1&permissions=0&scope=bot", False),
+        ("https://b.sim:8080/y?z=1#f", False),
+        ("https:///x", True),
+        ("https://", True),
+        ("https://?q", True),
+        ("https://#f", True),
+        ("HTTPS://b.sim/", True),
+        ("http://b.sim/", True),
+        ("https://b.sim/\tx", True),
+        ("https://b.sim/x;", True),
+        ("//b.sim/x", True),
+        ("/x", True),
+        ("x", True),
+    ],
+)
+def test_only_an_absolute_reference_in_the_bases_scheme_skips_urljoin(reference, resolved_by_urljoin, monkeypatch):
+    base = Url.parse("https://a.sim/p/q")
+    expected = joined_by_urljoin(base, reference)
+    calls = []
+    original = urllib.parse.urljoin
+    monkeypatch.setattr(urllib.parse, "urljoin", lambda *args: calls.append(args) or original(*args))
+    assert fields(base.join(reference)) == fields(expected)
+    assert calls == ([(str(base), reference)] if resolved_by_urljoin else [])
+
+
+# -- the query decoder decodes as parse_qsl decodes -------------------------------
+
+query_texts = st.one_of(
+    st.text(alphabet=st.sampled_from("ab=&%+2F0zé€ \x00;"), max_size=24),
+    st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6)), max_size=5).map(urllib.parse.urlencode),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=1500)
+@given(query=query_texts)
+def test_the_decoder_equals_parse_qsl_with_key_order(query):
+    expected = dict(urllib.parse.parse_qsl(query, keep_blank_values=True))
+    decoded = Url(host="a.sim", query=query).query_params()
+    assert list(decoded.items()) == list(expected.items())
+
+
+@settings(max_examples=500)
+@given(query=query_texts, extra=st.text(max_size=4), default=st.one_of(st.none(), st.text(max_size=3)))
+def test_param_reads_what_query_params_holds(query, extra, default):
+    url = Url(host="a.sim", query=query)
+    decoded = url.query_params()
+    url.query_params().clear()  # the caller's own copy: the Url's decoded query stays
+    for name in [*decoded, extra]:
+        assert url.param(name) == decoded.get(name)
+        assert url.param(name, default) == decoded.get(name, default)

@@ -7,7 +7,7 @@ from repro.botstore.host import StoreDefenses
 from repro.ecosystem.generator import EcosystemConfig, InviteStatus, StreamingEcosystem, generate_ecosystem
 from repro.ecosystem.repos import RepoKind
 from repro.sites.botwebsites import BotWebsiteBuilder, variant_for
-from repro.sites.discordweb import DiscordWebsite
+from repro.sites.discordweb import SLOW_CDN_HOSTNAME, SLOW_HOP_LATENCY, DiscordWebsite
 from repro.sites.github import GitHubSite
 from repro.web.client import HttpClient, RequestTimeoutError
 from repro.web.dom import parse_html
@@ -103,6 +103,28 @@ class TestDiscordWeb:
         slow = [bot for bot in eco.bots if bot.invite_status is InviteStatus.SLOW_REDIRECT][0]
         with pytest.raises(RequestTimeoutError):
             client.get(slow.invite_url, timeout=10.0)
+
+    def test_a_slow_redirect_chain_runs_every_hop_until_the_budget_is_spent(self, world):
+        eco, internet, client = world
+        slow = [bot for bot in eco.bots if bot.invite_status is InviteStatus.SLOW_REDIRECT][0]
+        hop = f"https://{SLOW_CDN_HOSTNAME}/hop/{{}}?client_id={slow.client_id}"
+        started, completed, logged = internet.clock.now(), internet.exchanges_completed, len(internet.log)
+        with pytest.raises(RequestTimeoutError) as raised:
+            client.get(slow.invite_url, timeout=10.0)
+        assert raised.value.url == hop.format(2)
+        assert internet.exchanges_completed - completed == 3
+        records = list(internet.log)[logged:]
+        assert [(record.url, record.status) for record in records] == [
+            (slow.invite_url, 302), (hop.format(1), 302), (hop.format(2), 302),
+        ]
+        assert [record.latency >= SLOW_HOP_LATENCY for record in records] == [False, True, True]
+        assert internet.clock.now() - started == pytest.approx(sum(record.latency for record in records))
+
+    @pytest.mark.parametrize("hop", ["x", "1.5", "%31"])
+    def test_a_non_numeric_hop_is_not_found(self, world, hop):
+        eco, internet, client = world
+        response = client.get(f"https://{SLOW_CDN_HOSTNAME}/hop/{hop}?client_id=1")
+        assert response.status == 404
 
 
 class TestGitHubSite:

@@ -176,20 +176,6 @@ class TestWaits:
         assert result == "yes"
 
 
-@pytest.fixture
-def collector():
-    """The cycle collector with an empty ``gc.garbage``, put back as the test found it however it ends."""
-    enabled, garbage = gc.isenabled(), list(gc.garbage)
-    gc.garbage.clear()
-    try:
-        yield
-    finally:
-        gc.set_debug(0)
-        gc.garbage[:] = garbage
-        if enabled:
-            gc.enable()
-
-
 def _elements() -> list[Element]:
     return [obj for obj in gc.get_objects() if type(obj) is Element]
 

@@ -1,7 +1,10 @@
 """Tests for captcha challenges and the 2Captcha-like solver."""
 
+import gc
+
 import pytest
 
+from repro.core.resilience import RetryPolicy
 from repro.web.captcha import (
     CaptchaService,
     CaptchaSolveError,
@@ -77,6 +80,26 @@ class TestTwoCaptchaClient:
         with pytest.raises(CaptchaSolveError):
             client.solve_with_retries("What is 2 + 2?", attempts=3)
         assert client.solves_attempted == 3
+
+    def test_retries_under_a_policy_back_off_between_charged_attempts(self, clock):
+        client = TwoCaptchaClient(clock, balance=1.0, price_per_solve=0.1, solve_time=8.0, accuracy=0.0)
+        with pytest.raises(CaptchaSolveError, match="worker failed to solve"):
+            client.solve_with_retries("What is 2 + 2?", policy=RetryPolicy(max_attempts=3, base_delay=1.0))
+        assert client.solves_attempted == 3
+        assert client.balance == pytest.approx(0.7)
+        assert clock.now() == pytest.approx(3 * 8.0 + 1.0 + 2.0)  # no back-off after the last attempt
+
+    def test_a_failed_solve_leaves_no_cycle_for_the_collector(self, clock, collector):
+        client = TwoCaptchaClient(clock, balance=10.0, accuracy=0.0)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for policy in (None, RetryPolicy(max_attempts=2)):
+            try:
+                client.solve_with_retries("What is 2 + 2?", policy=policy)
+            except CaptchaSolveError:
+                pass
+        gc.collect()
+        assert [type(obj).__name__ for obj in gc.garbage] == []
 
     def test_unparseable_prompt_fails(self, clock):
         client = TwoCaptchaClient(clock, accuracy=1.0)
