@@ -13,13 +13,10 @@ from repro.analysis.traceability_stats import TraceabilitySummary
 from repro.analysis.code_stats import CodeAnalysisSummary
 from repro.analysis.risk import RiskSummary, over_privilege_index, risk_score
 from repro.analysis.longitudinal import SnapshotDelta, compare_snapshots, trend
-from repro.analysis.cdn_abuse import CdnAbuseScanner, CdnScanReport
 from repro.analysis.paper import PAPER_METRICS, compare_with_paper
 from repro.analysis.tables import render_bar_chart, render_table
 
 __all__ = [
-    "CdnAbuseScanner",
-    "CdnScanReport",
     "CodeAnalysisSummary",
     "DeveloperDistribution",
     "PAPER_METRICS",

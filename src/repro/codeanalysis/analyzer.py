@@ -31,9 +31,6 @@ class RepoAnalysis:
 class CodeAnalyzer:
     """Classify repositories as check-performing or not."""
 
-    def __init__(self, ignore_comments: bool = False) -> None:
-        self.ignore_comments = ignore_comments
-
     def analyze_repo(
         self,
         bot_name: str,
@@ -57,6 +54,6 @@ class CodeAnalyzer:
             has_source_code=has_source,
         )
         if has_source and language in ANALYZED_LANGUAGES:
-            analysis.hits = find_check_hits(files, language, ignore_comments=self.ignore_comments)
+            analysis.hits = find_check_hits(files, language)
             analysis.performs_check = bool(analysis.hits)
         return analysis

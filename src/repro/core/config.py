@@ -29,7 +29,6 @@ class PipelineConfig:
     # Data collection.
     resolve_permissions: bool = True
     max_pages: int | None = None
-    scraper_timeout: float = 10.0
 
     # Stage switches.
     run_traceability: bool = True
@@ -38,7 +37,6 @@ class PipelineConfig:
 
     # Static analysis.
     validation_sample_size: int = 100
-    ignore_comments_in_code_analysis: bool = False
 
     # Dynamic analysis.
     honeypot_sample_size: int = 500
@@ -48,9 +46,6 @@ class PipelineConfig:
     #: Source feed text by scraping the OSN site (the paper's data path)
     #: instead of generating it directly.
     use_osn_feed: bool = True
-
-    # 2Captcha account.
-    captcha_balance: float = 100.0
 
     # Streaming population.
     #: Generate the population lazily (rank-addressable stream) and run the
@@ -105,12 +100,9 @@ class PipelineConfig:
     #: Aggregate retry cap per stage (transient retries across all fetches).
     stage_retry_budget: int = 500
 
-    # Bot-level supervision.
-    #: Wrap every per-bot unit of work in a supervision firewall that
-    #: quarantines the bot on crash, gateway flooding, or deadline blow-out
-    #: instead of crashing the stage.  Only active together with
-    #: ``degrade_on_faults``.
-    supervise_bots: bool = True
+    # Bot-level supervision: with ``degrade_on_faults``, every per-bot unit
+    # of work runs inside a firewall that quarantines the bot on crash,
+    # gateway flooding, or deadline blow-out instead of crashing the stage.
     #: Gateway events one bot may cause while supervised (0 = unlimited).
     max_bot_events: int = 500
     #: Virtual seconds one supervised unit of work may consume (0 = unlimited).

@@ -133,7 +133,7 @@ def _simulation(config: PipelineConfig, ecosystem: Ecosystem, index: int | None,
     from repro.sites.reddit import RedditSite
 
     RedditSite(seed=config.seed + 5).register(internet)
-    solver = TwoCaptchaClient(clock, balance=config.captcha_balance, seed=config.seed + 2 + offset)
+    solver = TwoCaptchaClient(clock, balance=100.0, seed=config.seed + 2 + offset)
     if config.chaos_profile is not None:
         from repro.web.chaos import FaultSchedule
 
@@ -217,7 +217,7 @@ class AssessmentPipeline:
         self.config = config or PipelineConfig()
         self.world = world or PipelineWorld.build(self.config)
         self.traceability_analyzer = TraceabilityAnalyzer()
-        self.code_analyzer = CodeAnalyzer(ignore_comments=self.config.ignore_comments_in_code_analysis)
+        self.code_analyzer = CodeAnalyzer()
         #: The main world as an execution lane (``index=None``): stages run
         #: on it exactly as they run on a shard's lane.
         self.lane = self._lane(self.world, None)
@@ -273,7 +273,7 @@ class AssessmentPipeline:
         Transport faults (``WebDriverException``/``NetworkError``) pass
         through untouched — the existing skip/fault-sink paths own those.
         """
-        if not (self.config.degrade_on_faults and self.config.supervise_bots):
+        if not self.config.degrade_on_faults:
             return None
         return BotSupervisor(
             stage=stage,

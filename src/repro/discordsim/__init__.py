@@ -31,10 +31,7 @@ from repro.discordsim.oauth import InviteLink, OAuthScope, build_invite_url, par
 from repro.discordsim.platform import DiscordPlatform, InstallError, VerificationRequired
 from repro.discordsim.api import BotApiClient, ApiError
 from repro.discordsim.bot import BotRuntime, CommandContext, requires_user_permissions
-from repro.discordsim.webhooks import Webhook, WebhookRegistry
-from repro.discordsim.cdn import DiscordCDN
 from repro.discordsim.slash import Interaction, SlashCommand, SlashCommandRegistry
-from repro.discordsim.voice import VoiceManager
 
 __all__ = [
     "ALL_PERMISSIONS",
@@ -43,13 +40,9 @@ __all__ = [
     "BotApiClient",
     "BotRuntime",
     "ChannelType",
-    "DiscordCDN",
     "Interaction",
     "SlashCommand",
     "SlashCommandRegistry",
-    "VoiceManager",
-    "Webhook",
-    "WebhookRegistry",
     "CommandContext",
     "DISPLAY_NAMES",
     "DiscordPlatform",

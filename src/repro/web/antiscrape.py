@@ -1,9 +1,9 @@
 """Anti-scraping middleware for virtual hosts.
 
 The methodology section lists the defences the measurement scraper had to
-overcome: request-rate limits, captchas, email verification, and page
-structures that vary or drop elements unexpectedly.  Each defence is a
-middleware that can be attached to any :class:`~repro.web.server.VirtualHost`.
+overcome: request-rate limits, captchas, and page structures that vary or
+drop elements unexpectedly.  Each defence is a middleware that can be
+attached to any :class:`~repro.web.server.VirtualHost`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from repro.web.network import VirtualClock, restore_rng, rng_state
 
 Next = Callable[[Request], Response]
 
-#: Cookie names used by the walls (public so scrapers/tests can reference them).
+#: Cookie the captcha wall sets on clearance (public so scrapers/tests can reference it).
 CAPTCHA_CLEARANCE_COOKIE = "cf_clearance"
-EMAIL_VERIFIED_COOKIE = "email_verified"
 
 
 class RateLimitMiddleware:
@@ -140,46 +139,6 @@ class CaptchaWallMiddleware:
             "</body></html>"
         )
         return Response.html(body, status=403)
-
-
-class EmailVerificationMiddleware:
-    """One-time email-verification interstitial.
-
-    First visit from a client yields a 403 "verify your email" page with a
-    verification link; following the link sets a verified cookie.  This is
-    the lighter of the two walls the paper mentions.
-    """
-
-    VERIFY_PATH = "/verify-email"
-
-    def __init__(self) -> None:
-        self._verified: set[str] = set()
-        self.interstitials_served = 0
-
-    def __call__(self, request: Request, next_handler: Next) -> Response:
-        client = request.client_id
-        if request.path == self.VERIFY_PATH:
-            self._verified.add(client)
-            response = Response.html("<html><body><p>Email verified. <a href='/'>Continue</a></p></body></html>")
-            response.set_cookie(EMAIL_VERIFIED_COOKIE, "1")
-            return response
-        if client in self._verified or request.cookie(EMAIL_VERIFIED_COOKIE) == "1":
-            return next_handler(request)
-        self.interstitials_served += 1
-        body = (
-            "<html><head><title>Verify your email</title></head><body>"
-            "<h1>Check your inbox</h1>"
-            f'<a id="verify-link" href="{self.VERIFY_PATH}">I have verified my email</a>'
-            "</body></html>"
-        )
-        return Response.html(body, status=403)
-
-    def state_dict(self) -> dict:
-        return {"verified": sorted(self._verified), "served": self.interstitials_served}
-
-    def restore_state(self, state: dict) -> None:
-        self._verified = set(state["verified"])
-        self.interstitials_served = state["served"]
 
 
 class FlakyMiddleware:

@@ -125,15 +125,6 @@ class TestTokenProperties:
         assert token.trigger_url.startswith("https://canary.sim/t/")
 
 
-class TestWebhookProperties:
-    @given(st.text(alphabet="abcdef0123456789", min_size=8, max_size=32), st.integers(min_value=1, max_value=10**15))
-    def test_url_roundtrip_components(self, token, webhook_id):
-        url = f"https://discord.sim/api/webhooks/{webhook_id}/{token}"
-        parts = url.rstrip("/").split("/")
-        assert int(parts[-2]) == webhook_id
-        assert parts[-1] == token
-
-
 class TestRiskProperties:
     from repro.analysis.risk import risk_score as _risk_score
 

@@ -1,11 +1,10 @@
-"""Tests for anti-scraping middleware: rate limits, walls, flakiness."""
+"""Tests for anti-scraping middleware: rate limits, the captcha wall, flakiness."""
 
 import pytest
 
 from repro.web.antiscrape import (
     CAPTCHA_CLEARANCE_COOKIE,
     CaptchaWallMiddleware,
-    EmailVerificationMiddleware,
     FlakyMiddleware,
     RateLimitMiddleware,
 )
@@ -106,23 +105,6 @@ class TestCaptchaWall:
         # Budget exhausted: counting resumes; next challenge arrives periodically.
         statuses = [_get(host).status for _ in range(1000)]
         assert 403 in statuses
-
-
-class TestEmailWall:
-    def test_interstitial_then_verify(self, clock):
-        host = _host_with(EmailVerificationMiddleware())
-        first = _get(host)
-        assert first.status == 403
-        assert "verify-link" in first.body
-        verified = _get(host, EmailVerificationMiddleware.VERIFY_PATH)
-        assert verified.status == 200
-        assert _get(host).status == 200
-
-    def test_cookie_alone_suffices(self, clock):
-        host = _host_with(EmailVerificationMiddleware())
-        request = Request("GET", Url.parse("https://store.sim/"), client_id="other")
-        request.headers["Cookie"] = "email_verified=1"
-        assert host.handle(request).status == 200
 
 
 class TestFlaky:
