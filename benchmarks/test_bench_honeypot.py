@@ -8,6 +8,7 @@ caught: the URL and Word-document tokens fired, and the operator posted
 
 from repro.discordsim.platform import DiscordPlatform
 from repro.honeypot import HoneypotExperiment, TokenKind
+from repro.honeypot.experiment import PERSONAS_PER_GUILD
 from repro.web.network import VirtualInternet
 
 
@@ -31,7 +32,7 @@ def test_bench_honeypot_headline(benchmark, paper_scale_result, paper_config):
     assert "wtf is this bro" in flagged[0].suspicious_messages
     assert honeypot.precision == 1.0 and honeypot.recall == 1.0
     # The manual mobile-verification friction: once per shared persona.
-    assert honeypot.manual_verifications == paper_config.personas_per_guild
+    assert honeypot.manual_verifications == PERSONAS_PER_GUILD
 
 
 def test_bench_honeypot_campaign_throughput(benchmark, paper_world):

@@ -7,19 +7,22 @@ from dataclasses import dataclass
 from repro.botstore.listings import ListingStore
 from repro.botstore.site import TOPGG_HOSTNAME, TopGGSite
 from repro.ecosystem.generator import Ecosystem
-from repro.web.antiscrape import CaptchaWallMiddleware, FlakyMiddleware, RateLimitMiddleware
+from repro.web.antiscrape import CaptchaWallMiddleware, RateLimitMiddleware
 from repro.web.captcha import CaptchaService
 from repro.web.network import VirtualInternet
 from repro.web.server import VirtualHost
+
+#: Seed of the listing site's captcha challenges.
+CAPTCHA_SEED = 17
 
 
 @dataclass
 class StoreDefenses:
     """Anti-scraping configuration for the listing site.
 
-    Defaults approximate a real listing site: a generous rate limit, a
-    captcha wall that re-challenges periodically, and (off by default, for
-    determinism) transient failures.
+    Defaults approximate a real listing site: a generous rate limit and a
+    captcha wall that re-challenges periodically.  Transient 5xx come from
+    chaos error bursts (:mod:`repro.web.chaos`), not from the store.
     """
 
     rate_limit_requests: int = 120
@@ -27,8 +30,6 @@ class StoreDefenses:
     captcha_enabled: bool = True
     captcha_every: int = 500
     captcha_clearance: int = 500
-    flaky_rate: float = 0.0
-    captcha_seed: int = 17
 
 
 def build_store_host(
@@ -44,9 +45,7 @@ def build_store_host(
     store = ListingStore(ecosystem)
     site = TopGGSite(store)
     host: VirtualHost = site.host
-    captcha_service = CaptchaService(internet.clock, seed=defenses.captcha_seed)
-    if defenses.flaky_rate > 0.0:
-        host.add_middleware(FlakyMiddleware(defenses.flaky_rate, seed=defenses.captcha_seed))
+    captcha_service = CaptchaService(internet.clock, seed=CAPTCHA_SEED)
     host.add_middleware(
         RateLimitMiddleware(internet.clock, defenses.rate_limit_requests, defenses.rate_limit_window)
     )

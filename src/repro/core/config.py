@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.botstore.host import StoreDefenses
-from repro.ecosystem.distributions import DEFAULT_TARGETS, Targets
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.web.chaos import ChaosProfile
@@ -23,12 +20,9 @@ class PipelineConfig:
     # World generation.
     n_bots: int = 20_915
     seed: int = 2022
-    targets: Targets = field(default_factory=lambda: DEFAULT_TARGETS)
-    defenses: StoreDefenses = field(default_factory=StoreDefenses)
 
     # Data collection.
     resolve_permissions: bool = True
-    max_pages: int | None = None
 
     # Stage switches.
     run_traceability: bool = True
@@ -40,9 +34,6 @@ class PipelineConfig:
 
     # Dynamic analysis.
     honeypot_sample_size: int = 500
-    personas_per_guild: int = 5
-    feed_messages: int = 25
-    observation_window: float = 86_400.0
     #: Source feed text by scraping the OSN site (the paper's data path)
     #: instead of generating it directly.
     use_osn_feed: bool = True
@@ -93,16 +84,12 @@ class PipelineConfig:
     #: durable write of the run: checkpoint, spills, main and shard journals.
     disk_chaos: str | None = None
     disk_chaos_seed: int = 0
-    #: Absorb stage/bot-level faults into the ledger instead of crashing.
-    degrade_on_faults: bool = True
-    circuit_failure_threshold: int = 5
-    circuit_recovery_time: float = 300.0
     #: Aggregate retry cap per stage (transient retries across all fetches).
     stage_retry_budget: int = 500
 
-    # Bot-level supervision: with ``degrade_on_faults``, every per-bot unit
-    # of work runs inside a firewall that quarantines the bot on crash,
-    # gateway flooding, or deadline blow-out instead of crashing the stage.
+    # Bot-level supervision: every per-bot unit of work runs inside a
+    # firewall that quarantines the bot on crash, gateway flooding, or
+    # deadline blow-out instead of crashing the stage.
     #: Gateway events one bot may cause while supervised (0 = unlimited).
     max_bot_events: int = 500
     #: Virtual seconds one supervised unit of work may consume (0 = unlimited).

@@ -100,7 +100,6 @@ class PipelineWorld:
         eco_config = EcosystemConfig(
             n_bots=config.n_bots,
             seed=config.seed,
-            targets=config.targets,
             honeypot_window=config.honeypot_sample_size,
         )
         if config.stream:
@@ -126,7 +125,7 @@ def _simulation(config: PipelineConfig, ecosystem: Ecosystem, index: int | None,
     clock = VirtualClock(start_time)
     internet = VirtualInternet(clock, seed=config.seed + offset)
     platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
-    build_store_host(ecosystem, internet, config.defenses)
+    build_store_host(ecosystem, internet)
     DiscordWebsite(ecosystem).register(internet)
     GitHubSite(ecosystem).register(internet)
     BotWebsiteBuilder(ecosystem).register(internet)
@@ -255,26 +254,22 @@ class AssessmentPipeline:
     def _stage_budget(self) -> RetryBudget:
         return RetryBudget(self.config.stage_retry_budget)
 
-    def _sink(self, stage: str, lane: ShardWorld) -> StageFaultSink | None:
-        """A fault sink writing to the lane's ledger on its clock (None unless faults degrade)."""
-        if not self.config.degrade_on_faults:
-            return None
+    def _sink(self, stage: str, lane: ShardWorld) -> StageFaultSink:
+        """A fault sink writing to the lane's ledger on its clock."""
 
         def sink(host: str, error: BaseException, bots_skipped: int, detail: str) -> None:
             lane.ledger.record(stage, host, error, lane.clock.now(), bots_skipped=bots_skipped, detail=detail)
 
         return sink
 
-    def _supervisor(self, stage: str, lane: ShardWorld) -> BotSupervisor | None:
-        """A per-bot supervision firewall for ``stage`` on ``lane`` (None when disabled).
+    def _supervisor(self, stage: str, lane: ShardWorld) -> BotSupervisor:
+        """A per-bot supervision firewall for ``stage`` on ``lane``.
 
         Quarantines land in the lane's ledger and log on the lane's clock;
         the honeypot stage also guards the lane's platform event bus.
         Transport faults (``WebDriverException``/``NetworkError``) pass
         through untouched — the existing skip/fault-sink paths own those.
         """
-        if not self.config.degrade_on_faults:
-            return None
         return BotSupervisor(
             stage=stage,
             clock=lane.clock,
@@ -464,30 +459,28 @@ class AssessmentPipeline:
         if self.config.stream:
             bots_store = self._stage_results(STAGE_CRAWL, scraped_bot_to_dict, scraped_bot_from_dict)
         crawl = scraper.crawl(
-            max_pages=self.config.max_pages,
             resolve_permissions=self.config.resolve_permissions,
             on_fault=sink,
             recorder=recorder,
             bots=bots_store,
         )
-        if sink is not None and self.config.max_pages is None:
-            # Reconcile: an abandoned pagination (or an unparseable list
-            # page) loses listings nobody counted bot-by-bot.  The pipeline
-            # knows the population, so the ledger accounts the remainder —
-            # collected + skipped always equals the expected population.
-            expected = len(self.world.ecosystem.bots)
-            missing = expected - len(crawl.bots) - self.ledger.bots_skipped(STAGE_CRAWL)
-            if missing > 0:
-                from repro.scraper.topgg import TOPGG_HOST
+        # Reconcile: an abandoned pagination (or an unparseable list page)
+        # loses listings nobody counted bot-by-bot.  The pipeline knows the
+        # population, so the ledger accounts the remainder — collected +
+        # skipped always equals the expected population.
+        expected = len(self.world.ecosystem.bots)
+        missing = expected - len(crawl.bots) - self.ledger.bots_skipped(STAGE_CRAWL)
+        if missing > 0:
+            from repro.scraper.topgg import TOPGG_HOST
 
-                self.ledger.record(
-                    STAGE_CRAWL,
-                    TOPGG_HOST,
-                    "PaginationAbandoned",
-                    self.world.clock.now(),
-                    bots_skipped=missing,
-                    detail=f"{missing} listings never reached",
-                )
+            self.ledger.record(
+                STAGE_CRAWL,
+                TOPGG_HOST,
+                "PaginationAbandoned",
+                self.world.clock.now(),
+                bots_skipped=missing,
+                detail=f"{missing} listings never reached",
+            )
         return scraper, crawl
 
     def analyze_traceability(
@@ -631,16 +624,16 @@ class AssessmentPipeline:
 
         ``sample``/``world``/``seed`` let a shard run its bucket of bots on
         its own platform view; the defaults reproduce the sequential run.
-        Called without a ``world``, a supervisor is built automatically
-        (when supervision is enabled) so hostile runtimes are quarantined;
-        lane callers pass their own, wired to the lane's clock and bus.
+        Called without a ``world``, a supervisor is built automatically so
+        hostile runtimes are quarantined; lane callers pass their own, wired
+        to the lane's clock and bus.
 
-        With a ``journal``, one forensic record is appended per settled bot
-        outcome.  Unlike stages 2–3 these records carry no replayable state
-        (guild/platform internals replay all-or-nothing): a crash mid-stage
-        discards them and re-runs the stage from its restored start state;
-        the ``stage_complete`` record :meth:`run` appends afterwards is what
-        a resumed run actually replays.
+        With a ``journal``, the ``honeypot.after_bot`` crash point fires
+        per settled bot outcome, but no per-bot record is written: guild
+        and platform internals replay all-or-nothing, so a crash mid-stage
+        re-runs the stage from its restored start state, and the
+        ``stage_complete`` record :meth:`run` appends afterwards is what a
+        resumed run replays.
         """
         if supervisor is None and world is None:
             supervisor = self._supervisor(STAGE_HONEYPOT, self.lane)
@@ -649,12 +642,7 @@ class AssessmentPipeline:
             # Prime stride keeps shard streams clear of the other
             # seed-derived streams (seed+1..seed+6).
             seed = self.config.seed + 3 + (0 if world.index is None else 7919 * (world.index + 1))
-        unit_sink = None
-        if journal is not None:
-
-            def unit_sink(outcome) -> None:
-                journal.append(STAGE_HONEYPOT, f"bot-{outcome.bot_name}", {"result": None})
-                crashpoint("honeypot.after_bot")
+        unit_sink = None if journal is None else (lambda outcome: crashpoint("honeypot.after_bot"))
 
         experiment = HoneypotExperiment(world.platform, world.internet, solver=world.solver, seed=seed)
         feed_source = None
@@ -674,9 +662,6 @@ class AssessmentPipeline:
             sample = self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
         return experiment.run(
             sample,
-            personas_per_guild=self.config.personas_per_guild,
-            feed_messages=self.config.feed_messages,
-            observation_window=self.config.observation_window,
             feed_source=feed_source,
             fault_sink=on_fault,
             supervisor=supervisor,
@@ -687,11 +672,7 @@ class AssessmentPipeline:
 
     def _lane(self, world: PipelineWorld, index: int | None) -> ShardWorld:
         """``world`` as an execution lane with circuit breakers of its own."""
-        breakers = CircuitBreakerRegistry(
-            world.clock,
-            failure_threshold=self.config.circuit_failure_threshold,
-            recovery_time=self.config.circuit_recovery_time,
-        )
+        breakers = CircuitBreakerRegistry(world.clock)
         return ShardWorld(index, world.clock, world.internet, world.platform, world.solver, breakers)
 
     def _shard_lane(self, index: int, start_time: float) -> ShardWorld:
@@ -775,9 +756,9 @@ class AssessmentPipeline:
     def run(self) -> PipelineResult:
         """Run every enabled stage and aggregate the paper's statistics.
 
-        Stages degrade instead of crashing (``config.degrade_on_faults``):
-        per-bot faults skip the bot, stage-level faults mark the stage
-        ``FAILED``, and everything lost is accounted in ``fault_ledger``.
+        Stages degrade instead of crashing: per-bot faults skip the bot,
+        stage-level faults mark the stage ``FAILED``, and everything lost
+        is accounted in ``fault_ledger``.
         With ``config.checkpoint_path``, the pipeline snapshots after every
         stage and a re-run resumes from the last completed one.  The
         journals close however the run ends.
@@ -830,8 +811,7 @@ class AssessmentPipeline:
             entry = timer.finish(bots_processed=len(crawl.bots))
             entry.outcome = status[STAGE_CRAWL]
             self.metrics.record(entry)
-            if self.config.max_pages is None:
-                self._enforce_accounting(STAGE_CRAWL, len(self.world.ecosystem.bots), status[STAGE_CRAWL])
+            self._enforce_accounting(STAGE_CRAWL, len(self.world.ecosystem.bots), status[STAGE_CRAWL])
             if checkpoint is not None:
                 checkpoint.store_crawl(crawl, scraper.stats)
                 self._save_checkpoint(checkpoint, status)
@@ -979,8 +959,6 @@ class AssessmentPipeline:
                 value, outcomes = stage.execute()
                 status[name] = self._stage_outcome(name)
             except (WebDriverException, NetworkError) as error:
-                if not self.config.degrade_on_faults:
-                    raise
                 self.ledger.record(
                     name, "<pipeline>", error, self.world.clock.now(), detail="stage aborted; output incomplete"
                 )
@@ -1004,10 +982,9 @@ class AssessmentPipeline:
 
         Every bot the stage was given must be processed, skipped (ledger)
         or quarantined — nothing silently vanishes.  Only meaningful when
-        faults degrade (otherwise they raise before reaching here) and the
-        stage actually produced output.
+        the stage actually produced output.
         """
-        if status == StageStatus.FAILED.value or not self.config.degrade_on_faults:
+        if status == StageStatus.FAILED.value:
             return
         entry = self.metrics.stage(stage)
         if entry is None:
@@ -1019,9 +996,9 @@ class AssessmentPipeline:
     ) -> None:
         """Journal the honeypot's ``stage_complete`` record (journaled runs only).
 
-        Per-bot honeypot records are forensic only; this record is what a
-        crash between here and the checkpoint save replays: the merged
-        report, the post-stage world, and the stage's fault deltas.
+        This is the stage's only journal record, and what a crash between
+        here and the checkpoint save replays: the merged report, the
+        post-stage world, and the stage's fault deltas.
         """
         journal = self._main_journal()
         if journal is None:
@@ -1041,31 +1018,20 @@ class AssessmentPipeline:
     def _replay_honeypot_stage(self) -> tuple["HoneypotReport", StageMetrics, str] | None:
         """Replay a journaled ``stage_complete`` honeypot record, if present.
 
-        The honeypot's per-bot records carry no replayable state (platform
-        internals replay all-or-nothing), so a partial set — a crash
-        mid-campaign — is discarded and counted, and the stage re-runs from
-        its restored start state.  Only a ``stage_complete`` record (a crash
-        in the compute-to-checkpoint-save window) short-circuits execution.
+        Platform internals replay all-or-nothing, so the stage journals no
+        per-bot records: a crash mid-campaign leaves nothing to replay and
+        the stage re-runs from its restored start state.  Only a
+        ``stage_complete`` record (a crash in the compute-to-checkpoint-save
+        window) short-circuits execution.
         """
         journal = self._main_journal()
         if journal is None:
             return None
         pending = journal.pending(STAGE_HONEYPOT)
-        if not pending:
+        record = next((record for record in pending if record.key == "stage_complete"), None)
+        if record is None:
             return None
-        marker: tuple[int, Any] | None = None
-        for position, record in enumerate(pending):
-            if record.key == "stage_complete":
-                marker = (position, record)
-        if marker is None:
-            journal.stats.discarded += len(pending)
-            record_resume_provenance(
-                self.ledger,
-                f"stage honeypot: discarded {len(pending)} partial per-bot record(s); stage re-runs",
-            )
-            return None
-        position, record = marker
-        journal.stats.replayed += position + 1
+        journal.stats.replayed += 1
         body = record.body
         for payload in body.get("faults", ()):
             self.ledger.records.append(FaultRecord.from_dict(payload))

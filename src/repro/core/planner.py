@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from repro.botstore.site import PAGE_SIZE
 from repro.core.config import PipelineConfig
+from repro.ecosystem.distributions import DEFAULT_TARGETS
+from repro.honeypot.experiment import FEED_MESSAGES, OBSERVATION_WINDOW
 
 #: Mean think time of the default scraper configuration (uniform 0.4-1.6s).
 _MEAN_THINK = 1.0
@@ -48,7 +50,7 @@ class CampaignEstimate:
 def estimate_campaign(config: PipelineConfig) -> CampaignEstimate:
     """Estimate one full pipeline run under ``config``."""
     n = config.n_bots
-    targets = config.targets
+    targets = DEFAULT_TARGETS
     active = n * targets.population.valid_permission_fraction
 
     listing_pages = math.ceil(n / PAGE_SIZE) + 1  # + the terminating 404
@@ -75,10 +77,8 @@ def estimate_campaign(config: PipelineConfig) -> CampaignEstimate:
         sample = config.honeypot_sample_size
         installable = sample * targets.population.valid_permission_fraction
         honeypot_solves = math.ceil(installable)
-        per_guild_feed = config.feed_messages * _MEAN_FEED_DELAY
-        honeypot_seconds = (
-            installable * (per_guild_feed + _CAPTCHA_SECONDS) + config.observation_window
-        )
+        per_guild_feed = FEED_MESSAGES * _MEAN_FEED_DELAY
+        honeypot_seconds = installable * (per_guild_feed + _CAPTCHA_SECONDS) + OBSERVATION_WINDOW
         honeypot_requests = installable * 3  # triggers/exfil beacons, rough
 
     store_requests = listing_pages + detail_requests

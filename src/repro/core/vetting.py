@@ -35,14 +35,15 @@ from repro.traceability.analyzer import DATA_PERMISSIONS
 from repro.web.network import VirtualInternet
 
 
+#: The largest share of a submission's requested risk its tags may leave
+#: unjustified.
+MAX_OVER_PRIVILEGE = 0.5
+
+
 @dataclass
 class VettingPolicy:
     """What the reviewing platform demands of a submission."""
 
-    max_over_privilege: float = 0.5
-    reject_redundant_administrator: bool = True
-    require_policy_for_data_permissions: bool = True
-    require_code_checks_for_moderation: bool = True
     run_dynamic_review: bool = True
     dynamic_observation: float = 86_400.0
 
@@ -133,21 +134,19 @@ class VettingPipeline:
 
     def _review_permissions(self, bot: BotProfile, verdict: VettingVerdict) -> None:
         over_privilege = over_privilege_index(bot.permissions, bot.tags)
-        if over_privilege > self.policy.max_over_privilege:
+        if over_privilege > MAX_OVER_PRIVILEGE:
             verdict.approved = False
             verdict.reasons.append(
                 f"over-privileged: {over_privilege:.2f} of the requested risk "
                 f"(score {risk_score(bot.permissions):.2f}) is unjustified by tags {list(bot.tags)}"
             )
-        if self.policy.reject_redundant_administrator and bot.permissions.redundant_with_administrator():
+        if bot.permissions.redundant_with_administrator():
             verdict.approved = False
             verdict.reasons.append(
                 "permission misuse: administrator requested alongside redundant permissions"
             )
 
     def _review_disclosure(self, bot: BotProfile, verdict: VettingVerdict) -> None:
-        if not self.policy.require_policy_for_data_permissions:
-            return
         exposed = [
             data_type
             for permission, data_type in DATA_PERMISSIONS.items()
@@ -161,8 +160,6 @@ class VettingPipeline:
             )
 
     def _review_code(self, bot: BotProfile, verdict: VettingVerdict) -> None:
-        if not self.policy.require_code_checks_for_moderation:
-            return
         if bot.github is None or not bot.github.has_source_code:
             return  # nothing to review — the paper's visibility limit
         analysis = self._code_analyzer.analyze_repo(

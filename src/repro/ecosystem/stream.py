@@ -54,6 +54,9 @@ _CLIENT_ID_BASE = 100_000_000_000_000_000
 #: ``(seed, rank // BLOCK)`` alone, so owner pages resolve in O(BLOCK).
 BLOCK = 512
 
+#: Invasive-behaviour rate outside the most-voted (honeypot) sample.
+BACKGROUND_INVASIVE_RATE = 0.004
+
 _NORMAL = NormalDist()
 
 
@@ -136,8 +139,6 @@ class EcosystemConfig:
     n_bots: int = 20_915
     seed: int = 2022
     targets: Targets = field(default_factory=lambda: DEFAULT_TARGETS)
-    #: Invasive-behaviour rate outside the most-voted (honeypot) sample.
-    background_invasive_rate: float = 0.004
     #: Size of the most-voted window that must contain exactly one invasive
     #: bot (the Melonian plant).  Clamped to n_bots.
     honeypot_window: int = 500
@@ -362,9 +363,9 @@ def _sample_github(
     return generate_repo(kind, owner, bot_name, None, False, rng)
 
 
-def _sample_behavior(rng: random.Random, tables: _SamplingTables, invasive_rate: float, benign_only: bool) -> str:
+def _sample_behavior(rng: random.Random, tables: _SamplingTables, benign_only: bool) -> str:
     """The behavior stream."""
-    if not benign_only and rng.random() < invasive_rate:
+    if not benign_only and rng.random() < BACKGROUND_INVASIVE_RATE:
         return rng.choice((behaviors.EXFILTRATOR, behaviors.NOSY_OPERATOR))
     kinds, cum_weights = tables.benign_behavior
     return rng.choices(kinds, cum_weights=cum_weights)[0]
@@ -540,9 +541,7 @@ class EcosystemStream:
         )
         owner = developer.tag.split("#")[0]
         github = _sample_github(self._reseed("code", rank), tables, owner, name)
-        behavior = _sample_behavior(
-            self._reseed("behavior", rank), tables, config.background_invasive_rate, benign_only=rank < self._window
-        )
+        behavior = _sample_behavior(self._reseed("behavior", rank), tables, benign_only=rank < self._window)
 
         profile = BotProfile(
             index=rank,

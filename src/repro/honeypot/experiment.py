@@ -27,6 +27,12 @@ from repro.web.server import VirtualHost
 #: Attacker-side collector infrastructure used by exfiltrating bots.
 EXFIL_HOSTNAME = "collector.evil.sim"
 
+#: The paper's campaign: 5 virtual users in every honeypot guild, a
+#: 25-message feed, and a day of observation.
+PERSONAS_PER_GUILD = 5
+FEED_MESSAGES = 25
+OBSERVATION_WINDOW = 86_400.0
+
 
 def _fault_host(error: BaseException) -> str:
     """Best-effort host attribution for a transport failure."""
@@ -173,9 +179,9 @@ class HoneypotExperiment:
     def run(
         self,
         sample: list[BotProfile],
-        personas_per_guild: int = 5,
-        feed_messages: int = 25,
-        observation_window: float = 86_400.0,
+        personas_per_guild: int = PERSONAS_PER_GUILD,
+        feed_messages: int = FEED_MESSAGES,
+        observation_window: float = OBSERVATION_WINDOW,
         posts_during_observation: int = 4,
         reuse_personas: bool = True,
         operator_activity_threshold: int = 10,

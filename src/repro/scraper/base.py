@@ -64,17 +64,20 @@ class ScrapeStats:
     faults_absorbed: int = 0
 
 
+#: Solver attempts per captcha wall, and retries per transient 5xx.
+MAX_CAPTCHA_ATTEMPTS = 3
+MAX_TRANSIENT_RETRIES = 3
+#: Seed of every scraper's jitter: think times and retry backoff.
+JITTER_SEED = 99
+
+
 @dataclass
 class ScraperConfig:
     """Pacing and retry policy."""
 
     min_think_time: float = 0.4
     max_think_time: float = 1.6
-    page_load_timeout: float = 10.0
-    max_captcha_attempts: int = 3
-    max_transient_retries: int = 3
     retry_backoff: float = 2.0
-    seed: int = 99
     #: Fetch each host's robots.txt once and honour Crawl-delay/Disallow.
     respect_robots: bool = True
 
@@ -95,7 +98,7 @@ class PoliteScraper:
     ) -> None:
         self.internet = internet
         self.config = config or ScraperConfig()
-        self.browser = Browser(internet, client_id=client_id, page_load_timeout=self.config.page_load_timeout)
+        self.browser = Browser(internet, client_id=client_id)
         self.solver = solver
         self.stats = ScrapeStats()
         self.breakers = breakers
@@ -105,13 +108,13 @@ class PoliteScraper:
             from repro.core.resilience import RetryPolicy
 
             retry_policy = RetryPolicy(
-                max_attempts=self.config.max_transient_retries,
+                max_attempts=MAX_TRANSIENT_RETRIES,
                 base_delay=self.config.retry_backoff,
                 multiplier=2.0,
                 jitter=0.2,
             )
         self.retry_policy = retry_policy
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(JITTER_SEED)
         from repro.scraper.robots import RobotsCache
 
         self.robots = RobotsCache()
@@ -176,7 +179,7 @@ class PoliteScraper:
         self._think(extra_delay)
         response = self._navigate(url, host)
         transient_attempt = 0
-        for _ in range(self.config.max_transient_retries + self.config.max_captcha_attempts):
+        for _ in range(MAX_TRANSIENT_RETRIES + MAX_CAPTCHA_ATTEMPTS):
             if response.status == 429:
                 self.stats.rate_limited += 1
                 retry_after = self._retry_after_seconds(response)
@@ -304,7 +307,7 @@ class PoliteScraper:
         challenge_id = element.get_attribute("data-challenge-id") or ""
         prompt = element.find_element(By.CSS_SELECTOR, "p.prompt").text
         try:
-            answer = self.solver.solve_with_retries(prompt, attempts=self.config.max_captcha_attempts)
+            answer = self.solver.solve_with_retries(prompt, attempts=MAX_CAPTCHA_ATTEMPTS)
         except InsufficientBalanceError as error:
             raise CaptchaBudgetExhaustedError(f"captcha budget exhausted: {error}") from error
         except CaptchaError as error:

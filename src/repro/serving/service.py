@@ -52,17 +52,36 @@ from repro.serving.budget import DeadlineBudget
 from repro.serving.cache import CacheEntry, VerdictCache, bot_fingerprint
 from repro.serving.metrics import ServingMetrics
 from repro.serving.workers import WorkerPool, WorkerPoolPolicy
-from repro.sites.botwebsites import variant_for
+from repro.sites.botwebsites import POLICY_PATHS, variant_for
 from repro.web.client import HttpClient
 from repro.web.http import Request, Response, Url
 from repro.web.network import NetworkError, VirtualInternet
 from repro.web.server import VirtualHost
 
-#: Policy-page path per website structural variant (mirrors the builder).
-_POLICY_PATHS = {"nav": "/privacy", "footer": "/privacy-policy", "legal": "/legal/privacy"}
-
 #: Schema version of the persisted service-state snapshot (``--state``).
 SERVING_STATE_VERSION = 1
+
+#: Virtual-second deadline budget for a whole /audit (shared across the
+#: roster's bots).
+AUDIT_DEADLINE = 21_600.0
+#: Bulkhead limits of the two cheap live stages.
+TRACEABILITY_LIMIT = 8
+CODE_LIMIT = 4
+#: Verdict-cache lifetime and size, and the fault ledger's ring size.
+CACHE_TTL = 7 * 86_400.0
+CACHE_ENTRIES = 10_000
+LEDGER_ENTRIES = 5_000
+#: Outbound crawling: per-request timeout and attempts, and the retry
+#: budget per retry epoch (bounds aggregate retries).
+OUTBOUND_TIMEOUT = 30.0
+OUTBOUND_ATTEMPTS = 3
+RETRY_BUDGET = 256
+RETRY_EPOCH = 3_600.0
+#: Virtual cost model for the cheap stages.
+STATIC_COST = 5.0
+CODE_COST = 30.0
+TRACEABILITY_ESTIMATE = 60.0
+GUARDIAN_COST_PER_BOT = 15.0
 
 
 def retry_after_header(seconds: float) -> str:
@@ -77,45 +96,28 @@ def retry_after_header(seconds: float) -> str:
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """Serving-side knobs: budgets, bounds and stage cost model.
+    """Serving-side knobs: budgets, bounds and the honeypot's cost.
 
-    Stage ``*_cost`` values are the virtual seconds a stage charges the
-    request's deadline budget (the honeypot charges its *measured* sandbox
-    consumption; the estimate below only gates admission to the stage).
+    Stage costs are the virtual seconds a stage charges the request's
+    deadline budget (the honeypot charges its *measured* sandbox
+    consumption; its estimate below only gates admission to the stage).
     """
 
     #: Virtual-second deadline budget per /vet request.
     deadline: float = 7_200.0
-    #: Budget for a whole /audit (shared across the roster's bots).
-    audit_deadline: float = 21_600.0
     queue_capacity: int = 32
     #: /readyz flips unready at this fraction of queue capacity.
     ready_high_water: float = 0.8
-    #: Per-stage bulkhead limits.
-    traceability_limit: int = 8
-    code_limit: int = 4
+    #: The honeypot stage's bulkhead limit.
     honeypot_limit: int = 2
     #: Serving-mode sandbox observation window (shorter than the batch
     #: pipeline's full day — a gate must answer before the listing ships).
     honeypot_observation: float = 3_600.0
     honeypot_overhead: float = 300.0
-    cache_ttl: float = 7 * 86_400.0
-    cache_entries: int = 10_000
-    ledger_entries: int = 5_000
     #: Seconds after (re)start during which /readyz reports warming.
     warmup: float = 30.0
-    outbound_timeout: float = 30.0
-    outbound_attempts: int = 3
-    #: Outbound retry budget per retry epoch (bounds aggregate retries).
-    retry_budget: int = 256
-    retry_epoch: float = 3_600.0
-    stale_while_revalidate: bool = True
-    #: Virtual cost model for the cheap stages.
+    #: Virtual cost of a verdict-cache lookup.
     cache_lookup_cost: float = 0.05
-    static_cost: float = 5.0
-    code_cost: float = 30.0
-    traceability_estimate: float = 60.0
-    guardian_cost_per_bot: float = 15.0
 
 
 class VettingService(VirtualHost):
@@ -149,20 +151,18 @@ class VettingService(VirtualHost):
         )
         self.queue = AdmissionQueue(capacity=self.policy.queue_capacity)
         self.bulkheads: dict[str, Bulkhead] = {
-            "traceability": Bulkhead("traceability", self.policy.traceability_limit),
-            "code": Bulkhead("code", self.policy.code_limit),
+            "traceability": Bulkhead("traceability", TRACEABILITY_LIMIT),
+            "code": Bulkhead("code", CODE_LIMIT),
             "honeypot": Bulkhead("honeypot", self.policy.honeypot_limit),
         }
-        self.cache = VerdictCache(ttl=self.policy.cache_ttl, max_entries=self.policy.cache_entries)
+        self.cache = VerdictCache(ttl=CACHE_TTL, max_entries=CACHE_ENTRIES)
         self.metrics = ServingMetrics()
-        self.ledger = FaultLedger(max_records=self.policy.ledger_entries)
+        self.ledger = FaultLedger(max_records=LEDGER_ENTRIES)
         self.breakers = CircuitBreakerRegistry(self.clock)
-        self.retry_policy = RetryPolicy(max_attempts=self.policy.outbound_attempts, base_delay=1.0)
+        self.retry_policy = RetryPolicy(max_attempts=OUTBOUND_ATTEMPTS, base_delay=1.0)
         self._retry_epoch_index = -1
-        self._retry_budget = RetryBudget(self.policy.retry_budget)
-        self.outbound = HttpClient(
-            internet, client_id=f"{hostname}/outbound", default_timeout=self.policy.outbound_timeout
-        )
+        self._retry_budget = RetryBudget(RETRY_BUDGET)
+        self.outbound = HttpClient(internet, client_id=f"{hostname}/outbound", default_timeout=OUTBOUND_TIMEOUT)
         self.started_at = self.clock.now()
         self.ready_at = self.started_at + self.policy.warmup
         self.seed = seed
@@ -272,7 +272,7 @@ class VettingService(VirtualHost):
             freshness, entry = cached
             if freshness == "fresh":
                 return self._serve_hit(entry, budget)
-            if self.degraded_mode and self.policy.stale_while_revalidate:
+            if self.degraded_mode:
                 # Brownout: answer from the superseded verdict now; the
                 # revalidation happens on the next healthy request.
                 self.cache.count_stale_hit()
@@ -300,7 +300,7 @@ class VettingService(VirtualHost):
     def _degrade_or_shed(self, bot: BotProfile, now: float, retry_after: float, reason: str) -> Response:
         """Steps 3-4 of the ladder: cached answer if we have anything, else 429."""
         cached = self.cache.lookup(bot, now)
-        if cached is not None and self.policy.stale_while_revalidate:
+        if cached is not None:
             freshness, entry = cached
             payload = dict(entry.payload)
             if freshness == "fresh":
@@ -371,7 +371,7 @@ class VettingService(VirtualHost):
             verdict.reasons.append("broken submission: invite link does not resolve")
             stages["static"] = "completed"
         else:
-            budget.charge("static", self.policy.static_cost)
+            budget.charge("static", STATIC_COST)
             self.pipeline.review_static(bot, verdict)
             stages["static"] = "completed"
             stages["traceability"] = self._stage_traceability(bot, budget, evidence)
@@ -401,7 +401,7 @@ class VettingService(VirtualHost):
         if bot.website_url is None:
             evidence["website"] = "none"
             return "not_applicable"
-        estimate = self.policy.traceability_estimate
+        estimate = TRACEABILITY_ESTIMATE
         if not budget.affords(estimate):
             evidence["website"] = "not_checked"
             return "skipped"
@@ -456,7 +456,7 @@ class VettingService(VirtualHost):
             break
         if not bot.policy.present:
             return "no_policy"
-        policy_path = _POLICY_PATHS[variant_for(bot)]
+        policy_path = POLICY_PATHS[variant_for(bot)]
         try:
             page = self.outbound.get(Url.parse(url).join(policy_path))
         except NetworkError as error:
@@ -471,10 +471,10 @@ class VettingService(VirtualHost):
         return "inconclusive"
 
     def _spend_retry(self) -> bool:
-        epoch = int(self.clock.now() // self.policy.retry_epoch)
+        epoch = int(self.clock.now() // RETRY_EPOCH)
         if epoch != self._retry_epoch_index:
             self._retry_epoch_index = epoch
-            self._retry_budget = RetryBudget(self.policy.retry_budget)
+            self._retry_budget = RetryBudget(RETRY_BUDGET)
         return self._retry_budget.spend()
 
     def _stage_code(
@@ -482,19 +482,17 @@ class VettingService(VirtualHost):
     ) -> str:
         if bot.github is None or not bot.github.has_source_code:
             return "not_applicable"
-        if not budget.affords(self.policy.code_cost):
+        if not budget.affords(CODE_COST):
             verdict.skipped_stages.append("code")
             return "skipped"
         try:
-            lease = self.bulkheads["code"].acquire(
-                budget.cursor, self.policy.code_cost, max_wait=budget.remaining - self.policy.code_cost
-            )
+            lease = self.bulkheads["code"].acquire(budget.cursor, CODE_COST, max_wait=budget.remaining - CODE_COST)
         except BulkheadSaturatedError as error:
             self.ledger.record("serving.code", self.hostname, "BulkheadSaturated",
                                self.clock.now(), detail=str(error))
             verdict.skipped_stages.append("code")
             return "skipped"
-        budget.charge("code", (lease.start - budget.cursor) + self.policy.code_cost)
+        budget.charge("code", (lease.start - budget.cursor) + CODE_COST)
         self._run_code(bot, verdict, fingerprint)
         return "completed"
 
@@ -587,7 +585,7 @@ class VettingService(VirtualHost):
             response.headers["Retry-After"] = retry_after_header(shed.retry_after)
             return response
 
-        budget = DeadlineBudget(start=now, deadline=self.policy.audit_deadline)
+        budget = DeadlineBudget(start=now, deadline=AUDIT_DEADLINE)
         if platform_guild is not None:
             payload = self._audit_platform_guild(platform_guild, budget)
         else:
@@ -642,7 +640,7 @@ class VettingService(VirtualHost):
     def _audit_platform_guild(self, guild, budget: DeadlineBudget) -> dict[str, Any]:
         assert self.guardian is not None
         report = self.guardian.audit_guild(guild.guild_id)
-        budget.charge("guardian", self.policy.guardian_cost_per_bot * max(len(report.audits), 1))
+        budget.charge("guardian", GUARDIAN_COST_PER_BOT * max(len(report.audits), 1))
         return {
             "guild": str(guild.guild_id),
             "bots": [
@@ -773,7 +771,7 @@ class VettingService(VirtualHost):
         try:
             self.restore_state(payload["state"])
         except (KeyError, TypeError, ValueError) as error:
-            self.cache = VerdictCache(ttl=self.policy.cache_ttl, max_entries=self.policy.cache_entries)
+            self.cache = VerdictCache(ttl=CACHE_TTL, max_entries=CACHE_ENTRIES)
             scrubber.note(
                 "serving.state", self.state_path,
                 f"snapshot fields are damaged: {error}",

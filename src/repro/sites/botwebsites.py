@@ -19,6 +19,9 @@ from repro.web.server import VirtualHost
 #: Structural variants a bot website can use for its policy link.
 WEBSITE_VARIANTS = ("nav", "footer", "legal")
 
+#: Policy-page path per website structural variant.
+POLICY_PATHS = {"nav": "/privacy", "footer": "/privacy-policy", "legal": "/legal/privacy"}
+
 #: Domain under which every generated bot website lives.
 BOTSITE_DOMAIN = ".botsite.sim"
 
@@ -69,7 +72,7 @@ class BotWebsiteBuilder:
 def _build_site(bot: BotProfile) -> VirtualHost:
     host = VirtualHost(bot.website_host or "site")
     variant = variant_for(bot)
-    policy_path = {"nav": "/privacy", "footer": "/privacy-policy", "legal": "/legal/privacy"}[variant]
+    policy_path = POLICY_PATHS[variant]
     has_policy_link = bot.policy.present
     policy_resolves = bot.policy.present and bot.policy.link_valid
 

@@ -2,18 +2,19 @@
 
 The methodology section lists the defences the measurement scraper had to
 overcome: request-rate limits, captchas, and page structures that vary or
-drop elements unexpectedly.  Each defence is a middleware that can be
-attached to any :class:`~repro.web.server.VirtualHost`.
+drop elements unexpectedly.  The first two are middleware that can be
+attached to any :class:`~repro.web.server.VirtualHost`; the sites render
+the varying structures, and transient 5xx come from chaos error bursts
+(:mod:`repro.web.chaos`).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
-from repro.web.captcha import CaptchaService
+from repro.web.captcha import CaptchaService, challenge_page
 from repro.web.http import Request, Response
-from repro.web.network import VirtualClock, restore_rng, rng_state
+from repro.web.network import VirtualClock
 
 Next = Callable[[Request], Response]
 
@@ -129,37 +130,5 @@ class CaptchaWallMiddleware:
         self.challenges_served = state["served"]
 
     def _challenge_response(self) -> Response:
-        challenge = self.service.issue()
         self.challenges_served += 1
-        body = (
-            "<html><head><title>Security check</title></head><body>"
-            "<h1>Please verify you are human</h1>"
-            f'<div id="captcha-challenge" data-challenge-id="{challenge.challenge_id}">'
-            f"<p class='prompt'>{challenge.prompt}</p></div>"
-            "</body></html>"
-        )
-        return Response.html(body, status=403)
-
-
-class FlakyMiddleware:
-    """Randomly serve transient 5xx errors (elements "become unavailable")."""
-
-    def __init__(self, failure_rate: float, seed: int = 0) -> None:
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValueError("failure_rate must be in [0, 1)")
-        self.failure_rate = failure_rate
-        self._rng = random.Random(seed)
-        self.failures_injected = 0
-
-    def __call__(self, request: Request, next_handler: Next) -> Response:
-        if self._rng.random() < self.failure_rate:
-            self.failures_injected += 1
-            return Response.text("temporarily unavailable", status=503)
-        return next_handler(request)
-
-    def state_dict(self) -> dict:
-        return {"rng": rng_state(self._rng), "failures": self.failures_injected}
-
-    def restore_state(self, state: dict) -> None:
-        restore_rng(self._rng, state["rng"])
-        self.failures_injected = state["failures"]
+        return challenge_page(self.service)

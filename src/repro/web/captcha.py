@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.web.http import Response
 from repro.web.network import VirtualClock, restore_rng, rng_state
 
 
@@ -104,6 +105,23 @@ class CaptchaService:
         }
         for name, value in state["stats"].items():
             setattr(self.stats, name, value)  # in place: callers may hold a reference
+
+
+def challenge_page(service: CaptchaService) -> Response:
+    """Issue a challenge and render the 403 wall page that embeds it.
+
+    Scrapers find the challenge at ``#captcha-challenge[data-challenge-id]``
+    and its prompt in ``p.prompt``.
+    """
+    challenge = service.issue()
+    body = (
+        "<html><head><title>Security check</title></head><body>"
+        "<h1>Please verify you are human</h1>"
+        f'<div id="captcha-challenge" data-challenge-id="{challenge.challenge_id}">'
+        f"<p class='prompt'>{challenge.prompt}</p></div>"
+        "</body></html>"
+    )
+    return Response.html(body, status=403)
 
 
 @dataclass

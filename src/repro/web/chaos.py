@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from repro.web.captcha import CaptchaService
+from repro.web.captcha import CaptchaService, challenge_page
 from repro.web.http import Request, Response
 from repro.web.network import ConnectionFailedError, VirtualClock, restore_rng, rng_state
 
@@ -346,13 +346,5 @@ class FaultSchedule:
 
     def _challenge_response(self) -> Response:
         assert self._captcha is not None
-        challenge = self._captcha.issue()
         self.stats.captcha_walls += 1
-        body = (
-            "<html><head><title>Security check</title></head><body>"
-            "<h1>Please verify you are human</h1>"
-            f'<div id="captcha-challenge" data-challenge-id="{challenge.challenge_id}">'
-            f"<p class='prompt'>{challenge.prompt}</p></div>"
-            "</body></html>"
-        )
-        return Response.html(body, status=403)
+        return challenge_page(self._captcha)

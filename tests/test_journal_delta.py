@@ -17,6 +17,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core.checkpoint import STAGE_HONEYPOT
 from repro.core.config import PipelineConfig
 from repro.core.journal import UnitTracker, WriteAheadJournal
 from repro.core.pipeline import _UNIT_STAGES, AssessmentPipeline
@@ -324,3 +325,12 @@ def test_replaying_every_prefix_rebuilds_the_live_world(live_run, stage) -> None
     for k, record in enumerate(records, start=1):
         tracker.apply(record.body)
         assert _whole(lane, scraper) == live["after"][k - 1], f"{stage}: replay of records 1..{k} diverged"
+
+
+def test_the_honeypot_journals_only_its_stage_complete_record(live_run) -> None:
+    # Platform state replays all-or-nothing, so a per-bot honeypot record
+    # would never be replayed: the stage's one record is the one a resume
+    # replays from.
+    _, path, _ = live_run
+    records = WriteAheadJournal(path).pending(STAGE_HONEYPOT)
+    assert [record.key for record in records] == ["stage_complete"]

@@ -136,7 +136,7 @@ class TestStageDegradation:
         with_sites = [bot for bot in crawl.with_valid_permissions() if bot.website_url][:3]
         assert with_sites
         host = AssessmentPipeline._host_of(with_sites[0].website_url)
-        for _ in range(config.circuit_failure_threshold):
+        for _ in range(pipeline.breakers.failure_threshold):
             pipeline.breakers.record_failure(host)
 
         faults = []
@@ -161,20 +161,6 @@ class TestStageDegradation:
         report = pipeline.run_honeypot(on_fault=lambda *args: faults.append(args))
         assert report.bots_tested > 0  # fell back to the generated feed
         assert any("OSN feed unavailable" in f[3] for f in faults)
-
-    def test_degrade_on_faults_false_preserves_raise(self):
-        from repro.web.network import NetworkError
-
-        config = _config(degrade_on_faults=False, run_code_analysis=False, run_honeypot=False)
-        pipeline = AssessmentPipeline(config)
-        pipeline.world.internet.unregister("reddit.sim")
-
-        def boom(*args, **kwargs):
-            raise NetworkError("stage blew up")
-
-        pipeline.analyze_traceability = boom
-        with pytest.raises(NetworkError):
-            pipeline.run()
 
     def test_stage_level_failure_marks_stage_failed(self):
         from repro.web.network import NetworkError

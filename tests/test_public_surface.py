@@ -1,8 +1,8 @@
 """The package's public surface: every module imports, and nothing public is dead.
 
-A public top-level class or function whose name appears nowhere in ``src/``
-(outside its definition and the packages' re-exports), ``benchmarks/`` or
-``perfbench/`` is code only tests run.  Each one either earns a place on
+A public top-level class or function whose name no identifier in ``src/``
+(outside the packages' re-exports), ``benchmarks/`` or ``perfbench/`` uses
+is code only tests run.  Each one either earns a place on
 :data:`KEEP`, with the reason it stays, or gets a caller on the paper's
 pipeline, or goes.  A surface that nothing runs cannot grow back unnoticed:
 it makes this suite fail until one of the three happens.
@@ -11,8 +11,6 @@ it makes this suite fail until one of the three happens.
 import ast
 import importlib
 import pkgutil
-import re
-from collections import Counter
 from pathlib import Path
 
 import repro
@@ -24,9 +22,14 @@ SRC = ROOT / "src"
 KEEP = {
     "repro.codeanalysis.pyast.compare_with_substring": "the comparison behind the AST ablation",
     "repro.core.crashpoints.read_fired": "the crash harness reads which points fired",
+    "repro.core.crashpoints.set_handler": "the in-process crash-point hook tests/test_crashpoints.py drives",
+    "repro.core.crashpoints.reset": "clears the in-process crash-point hook and hit counts between those tests",
     "repro.core.storage.matrix_cells": "the disk-fault harness's (site, fault kind) matrix",
     "repro.core.serialize.load_result_summary": "reads a saved result back and refuses a foreign schema version",
     "repro.discordsim.permissions.compute_base_permissions": "the reference the permission property tests compare with",
+    "repro.discordsim.permissions.compute_channel_permissions": (
+        "the reference the guild and channel permission property tests compare with"
+    ),
     "repro.discordsim.snowflake.snowflake_timestamp_ms": "snowflake decoder: the timestamp field",
     "repro.discordsim.snowflake.snowflake_worker": "snowflake decoder: the worker field",
     "repro.discordsim.snowflake.snowflake_sequence": "snowflake decoder: the sequence field",
@@ -36,7 +39,21 @@ KEEP = {
     "repro.web.browser.presence_of_element_located": "the expected condition explicit waits poll",
 }
 
-_WORD = re.compile(r"\w+")
+
+def _identifiers(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` uses in code: names, attributes and imported names.
+
+    Words in docstrings, comments and strings are not uses.
+    """
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+    return used
 
 
 def test_every_module_imports_and_every_export_resolves():
@@ -52,28 +69,28 @@ def test_every_module_imports_and_every_export_resolves():
 
 
 def test_public_names_only_tests_call_are_the_keep_list():
-    # A name counts as used when its word appears anywhere in the scanned
-    # files more often than it is defined.  Package ``__init__`` modules only
-    # re-export, so they are not scanned: a re-export is not a use.
+    # A name counts as used when an identifier in the scanned files names
+    # it; a definition is not an identifier.  Package ``__init__`` modules
+    # only re-export, so they are not scanned: a re-export is not a use.
     definitions: dict[str, list[str]] = {}
-    words: Counter[str] = Counter()
+    used: set[str] = set()
     for path in SRC.rglob("*.py"):
         if path.name == "__init__.py":
             continue
-        text = path.read_text(encoding="utf-8")
-        words.update(_WORD.findall(text))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= _identifiers(tree)
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.parse(text).body:
+        for node in tree.body:
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not node.name.startswith("_"):
                     definitions.setdefault(node.name, []).append(module)
     for directory in ("benchmarks", "perfbench"):
         for path in (ROOT / directory).rglob("*.py"):
-            words.update(_WORD.findall(path.read_text(encoding="utf-8")))
+            used |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
     unused = {
         f"{module}.{name}"
         for name, modules in definitions.items()
-        if words[name] == len(modules)
+        if name not in used
         for module in modules
     }
     assert unused - KEEP.keys() == set(), "public, and nothing but tests calls it: give it a caller or delete it"

@@ -341,24 +341,18 @@ class TestListPageFaults:
     def test_a_dead_host_ends_pagination_at_the_next_page(self, store_world, clock, page):
         # The pipeline's defaults: a budget large enough that only the
         # breaker's cycle can stop the crawl, and no page limit.
-        config = PipelineConfig()
         _, internet, solver = store_world
         internet.install_chaos(StoreOutage(page))
+        breakers = CircuitBreakerRegistry(clock)
         scraper = TopGGScraper(
             internet,
             solver=solver,
-            breakers=CircuitBreakerRegistry(
-                clock,
-                failure_threshold=config.circuit_failure_threshold,
-                recovery_time=config.circuit_recovery_time,
-            ),
-            retry_budget=RetryBudget(config.stage_retry_budget),
+            breakers=breakers,
+            retry_budget=RetryBudget(PipelineConfig().stage_retry_budget),
         )
         records = []
         started = clock.now()
-        result = scraper.crawl(
-            max_pages=config.max_pages, resolve_permissions=False, on_fault=_recording_sink(records)
-        )
+        result = scraper.crawl(resolve_permissions=False, on_fault=_recording_sink(records))
         # The page the host died on is skipped after one cool-down; the
         # next page began under the breaker its probe re-opened, and a
         # second lost cool-down ends pagination there.
@@ -367,8 +361,8 @@ class TestListPageFaults:
             f"list page {page + 1} unreachable; pagination abandoned",
         ]
         assert len(result.bots) == (page - 1) * PAGE_SIZE
-        assert clock.now() - started < 3 * config.circuit_recovery_time
-        assert scraper.retry_budget.spent <= 2 * config.circuit_failure_threshold
+        assert clock.now() - started < 3 * breakers.recovery_time
+        assert scraper.retry_budget.spent <= 2 * breakers.failure_threshold
 
     def test_a_resumed_crawl_stops_where_an_uninterrupted_one_does(self, tmp_path):
         control, control_ledger, control_clock = _journaled_dead_store_crawl(tmp_path / "control.wal")

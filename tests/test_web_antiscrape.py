@@ -1,11 +1,10 @@
-"""Tests for anti-scraping middleware: rate limits, the captcha wall, flakiness."""
+"""Tests for anti-scraping middleware: rate limits and the captcha wall."""
 
 import pytest
 
 from repro.web.antiscrape import (
     CAPTCHA_CLEARANCE_COOKIE,
     CaptchaWallMiddleware,
-    FlakyMiddleware,
     RateLimitMiddleware,
 )
 from repro.web.captcha import CaptchaService, TwoCaptchaClient
@@ -105,20 +104,3 @@ class TestCaptchaWall:
         # Budget exhausted: counting resumes; next challenge arrives periodically.
         statuses = [_get(host).status for _ in range(1000)]
         assert 403 in statuses
-
-
-class TestFlaky:
-    def test_zero_rate_never_fails(self):
-        host = _host_with(FlakyMiddleware(0.0))
-        assert all(_get(host).status == 200 for _ in range(50))
-
-    def test_rate_injects_503(self):
-        middleware = FlakyMiddleware(0.5, seed=3)
-        host = _host_with(middleware)
-        statuses = [_get(host).status for _ in range(100)]
-        assert statuses.count(503) == middleware.failures_injected
-        assert 20 < statuses.count(503) < 80
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ValueError):
-            FlakyMiddleware(1.5)
