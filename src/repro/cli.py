@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint", dest="checkpoint_path", default=None,
                      help="stage-granular checkpoint file; resumes completed stages if present")
     run.add_argument("--journal", dest="journal_path", default=None,
-                     help="intra-stage write-ahead journal; resumes mid-stage after a crash "
-                          "(shard journals live beside it as <path>.shard<k>)")
+                     help="intra-stage write-ahead journal; resumes mid-stage after a crash")
     run.add_argument("--journal-fsync-every", type=int, default=1, metavar="N",
                      help="journal fsync cadence: 1 fsyncs every record (default), N batches "
                           "(widens the torn-tail window to N-1 records), 0 never fsyncs")
@@ -61,10 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(bounded memory, byte-identical output)")
     run.add_argument("--chunk-size", type=int, default=2_048,
                      help="bots per streamed chunk (default 2048; needs --stream)")
-    run.add_argument("--shards", type=int, default=1,
-                     help="deterministic shards for stages 2-4 (default 1 = sequential)")
     run.add_argument("--metrics", action="store_true",
-                     help="print per-stage/per-shard run metrics after the report")
+                     help="print per-stage run metrics after the report")
     run.add_argument("--max-bot-events", type=int, default=None,
                      help="gateway event budget per supervised bot (0 = unlimited)")
     run.add_argument("--bot-deadline", type=float, default=None,
@@ -144,9 +141,6 @@ def _config(args: argparse.Namespace, **overrides) -> PipelineConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     sample = args.honeypot_sample if args.honeypot_sample is not None else min(200, args.bots)
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     if args.chunk_size < 1:
         print("--chunk-size must be >= 1", file=sys.stderr)
         return 2
@@ -164,7 +158,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         journal_path=args.journal_path,
         stream=args.stream,
         chunk_size=args.chunk_size,
-        shards=args.shards,
         adversarial_bots=args.adversarial,
         journal_fsync_every=args.journal_fsync_every,
         disk_chaos=args.disk_chaos,

@@ -281,8 +281,8 @@ class PipelineCheckpoint:
     metrics: dict[str, dict] = field(default_factory=dict)
     #: Bots the supervision layer quarantined in completed stages.
     quarantines: QuarantineLog = field(default_factory=QuarantineLog)
-    #: World-state snapshot (:func:`repro.core.journal.capture_world_state`
-    #: payloads keyed ``main`` / ``shards``) taken at the same boundary as
+    #: World-state snapshot (a :func:`repro.core.journal.capture_world_state`
+    #: payload keyed ``main``) taken at the same boundary as
     #: the last stored stage, so a resumed run re-enters the simulation in
     #: the exact state the saving run left it — RNG streams, chaos draws,
     #: circuit breakers and captcha accounts included.

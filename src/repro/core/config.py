@@ -49,13 +49,6 @@ class PipelineConfig:
     #: checkpoints and the granularity of the ``stream.*`` crash points.
     chunk_size: int = 2_048
 
-    # Sharded execution.
-    #: Deterministic shards for stages 2–4.  ``1`` runs the classic
-    #: sequential pipeline; ``N > 1`` partitions bots by stable id hash
-    #: onto N isolated world views and merges the outputs (virtual time =
-    #: max across shards, captcha dollars = sum).
-    shards: int = 1
-
     # Resilience and fault injection.
     #: Chaos profile name ("calm", "flaky", "hostile", "outage"), a
     #: :class:`~repro.web.chaos.ChaosProfile` (e.g. a ``scaled()`` variant
@@ -69,7 +62,6 @@ class PipelineConfig:
     #: With a path, stages additionally append to an intra-stage write-ahead
     #: journal after every completed bot unit (one page for the crawl), so a
     #: crash mid-stage resumes at the next unit instead of the stage start.
-    #: Sharded runs derive one journal per shard (``<path>.shard<k>``).
     journal_path: str | None = None
     #: Journal fsync cadence: ``1`` fsyncs every record (the default — an
     #: acknowledged record is a durable record), ``N`` batches fsyncs for
@@ -81,7 +73,7 @@ class PipelineConfig:
     #: :class:`~repro.core.storage.StorageChaosProfile`, or None to leave
     #: the process's storage-fault shim untouched.  Installed process-wide
     #: when the pipeline is built, so one seeded schedule covers every
-    #: durable write of the run: checkpoint, spills, main and shard journals.
+    #: durable write of the run: checkpoint, spills and the journal.
     disk_chaos: str | None = None
     disk_chaos_seed: int = 0
     #: Aggregate retry cap per stage (transient retries across all fetches).

@@ -7,7 +7,7 @@ as canonical sorted JSON, so two runs can be compared byte-for-byte::
     python -m repro.core.crash_driver config.json out.json
 
 The config file holds :class:`~repro.core.config.PipelineConfig` field
-overrides (``n_bots``, ``shards``, ``checkpoint_path``, ``journal_path``,
+overrides (``n_bots``, ``stream``, ``checkpoint_path``, ``journal_path``,
 ...).  The harness arms crashes purely through the environment
 (``REPRO_CRASH_AT`` / ``REPRO_CRASHPOINTS_RECORD``) so the golden, killed
 and resumed invocations of a scenario run the exact same code path.

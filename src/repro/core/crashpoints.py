@@ -52,8 +52,6 @@ REGISTRY = (
     "journal.mid_append",
     "checkpoint.after_tmp_write",
     "pipeline.after_stage",
-    "sharding.after_shard",
-    "sharding.after_merge",
     "supervision.after_quarantine",
     "run.before_result",
     # Streamed-mode cadence: mid-chunk and chunk-boundary kills inside the
@@ -97,10 +95,10 @@ def parse_arm(value: str) -> tuple[str, int]:
 def crashpoint(name: str) -> None:
     """Mark a crash site.  A no-op unless armed, recording, or handled.
 
-    Sharded stages run their buckets one after another on the calling
-    thread, so a run's hits arrive in a fixed order and ``name:N`` always
-    names the same unit.  The counters are still lock-guarded, and
-    ``os._exit`` kills the whole process whichever thread calls it.
+    A run's stages execute one unit at a time on the calling thread, so
+    its hits arrive in a fixed order and ``name:N`` always names the same
+    unit.  The counters are still lock-guarded, and ``os._exit`` kills the
+    whole process whichever thread calls it.
     """
     if name not in _REGISTERED:
         raise UnknownCrashPointError(f"crash point {name!r} is not in the registry")

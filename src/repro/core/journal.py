@@ -98,11 +98,6 @@ class JournalStats:
     def to_dict(self) -> dict:
         return {"appended": self.appended, "replayed": self.replayed, "discarded": self.discarded}
 
-    def merge(self, other: "JournalStats") -> None:
-        self.appended += other.appended
-        self.replayed += other.replayed
-        self.discarded += other.discarded
-
 
 class WriteAheadJournal:
     """Append-only, per-record-checksummed JSONL journal.
@@ -598,8 +593,3 @@ def _restore_hosts(internet, states: dict) -> None:
     for hostname, state in states.items():
         if internet.knows(hostname):
             internet.host(hostname).restore_state(state)
-
-
-def solver_history_dollars(state: dict) -> float:
-    """Total captcha spend recorded in a captured solver state."""
-    return sum(record.get("cost", 0.0) for record in state.get("history", ()))

@@ -1,13 +1,11 @@
-"""Run metrics: per-stage wall/virtual time, traffic and throughput.
+"""Run metrics: per-stage wall/virtual time and traffic.
 
 The metrics layer answers the operational questions a real measurement
 campaign asks ("which stage is slow?", "how many exchanges did the crawl
-issue?", "did sharding actually help?") without touching any of the
-paper's statistics.  Each pipeline stage records one
-:class:`StageMetrics`; sharded stages additionally record one
-:class:`ShardMetrics` per shard.  The whole structure serializes through
-the pipeline checkpoint so a resumed run still reports complete metrics
-for the stages it did not re-execute.
+issue?") without touching any of the paper's statistics.  Each pipeline
+stage records one :class:`StageMetrics`.  The whole structure serializes
+through the pipeline checkpoint so a resumed run still reports complete
+metrics for the stages it did not re-execute.
 """
 
 from __future__ import annotations
@@ -17,55 +15,14 @@ from typing import Any
 
 
 @dataclass
-class ShardMetrics:
-    """One shard's share of one stage."""
-
-    shard: int
-    bots: int = 0
-    wall_seconds: float = 0.0
-    virtual_seconds: float = 0.0
-    exchanges: int = 0
-    quarantined: int = 0
-
-    @property
-    def throughput(self) -> float:
-        """Bots processed per wall-clock second (0 when nothing ran)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.bots / self.wall_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "shard": self.shard,
-            "bots": self.bots,
-            "wall_seconds": self.wall_seconds,
-            "virtual_seconds": self.virtual_seconds,
-            "exchanges": self.exchanges,
-            "quarantined": self.quarantined,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ShardMetrics":
-        return cls(
-            shard=payload["shard"],
-            bots=payload.get("bots", 0),
-            wall_seconds=payload.get("wall_seconds", 0.0),
-            virtual_seconds=payload.get("virtual_seconds", 0.0),
-            exchanges=payload.get("exchanges", 0),
-            quarantined=payload.get("quarantined", 0),
-        )
-
-
-@dataclass
 class StageMetrics:
     """One pipeline stage's cost and coverage."""
 
     stage: str
     wall_seconds: float = 0.0
-    #: Simulated seconds the stage consumed.  For sharded stages this is the
-    #: max across shards (shards run concurrently in virtual time).
+    #: Simulated seconds the stage consumed.
     virtual_seconds: float = 0.0
-    #: Exchanges issued on every internet the stage touched (main + shards).
+    #: Exchanges the stage issued on the virtual internet.
     exchanges: int = 0
     bots_processed: int = 0
     bots_skipped: int = 0
@@ -78,7 +35,6 @@ class StageMetrics:
     #: still report — and be compared against — the original outcome even
     #: though its own ``stage_status`` says "resumed".
     outcome: str = ""
-    shards: list[ShardMetrics] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -91,7 +47,6 @@ class StageMetrics:
             "bots_quarantined": self.bots_quarantined,
             "resumed": self.resumed,
             "outcome": self.outcome,
-            "shards": [shard.to_dict() for shard in self.shards],
         }
 
     @classmethod
@@ -106,7 +61,6 @@ class StageMetrics:
             bots_quarantined=payload.get("bots_quarantined", 0),
             resumed=payload.get("resumed", False),
             outcome=payload.get("outcome", ""),
-            shards=[ShardMetrics.from_dict(entry) for entry in payload.get("shards", [])],
         )
 
 
@@ -114,10 +68,9 @@ class StageMetrics:
 class RunMetrics:
     """Every stage's metrics for one pipeline run, in execution order."""
 
-    shard_count: int = 1
     stages: dict[str, StageMetrics] = field(default_factory=dict)
-    #: Write-ahead journal counters (``JournalStats.to_dict()``, aggregated
-    #: across the main and per-shard journals) when journaling is enabled.
+    #: Write-ahead journal counters (``JournalStats.to_dict()``) when
+    #: journaling is enabled.
     journal: dict[str, int] | None = None
     #: Serving counters (``ServingMetrics.to_dict()``) when the run hosted
     #: the vetting service: requests served/shed/degraded, cache hit and
@@ -153,7 +106,7 @@ class RunMetrics:
 
     def render(self) -> str:
         """A compact table for the CLI's ``--metrics`` flag."""
-        lines = [f"=== Run metrics ({self.shard_count} shard{'s' if self.shard_count != 1 else ''}) ==="]
+        lines = ["=== Run metrics ==="]
         header = (
             f"{'stage':14s} {'wall(s)':>9s} {'virtual(s)':>12s} {'exchanges':>10s} "
             f"{'processed':>10s} {'skipped':>8s} {'quar':>5s}"
@@ -166,12 +119,6 @@ class RunMetrics:
                 f"{stage.exchanges:10d} {stage.bots_processed:10d} {stage.bots_skipped:8d} "
                 f"{stage.bots_quarantined:5d}{suffix}"
             )
-            for shard in stage.shards:
-                quarantine_note = f", {shard.quarantined} quarantined" if shard.quarantined else ""
-                lines.append(
-                    f"    shard {shard.shard}: {shard.bots} bots in {shard.wall_seconds:.2f}s wall "
-                    f"({shard.throughput:.1f} bots/s), {shard.exchanges} exchanges{quarantine_note}"
-                )
         lines.append(
             f"{'total':14s} {self.total_wall_seconds:9.2f} {'':>12s} "
             f"{self.total_exchanges:10d} {self.total_bots_processed:10d} {self.total_bots_skipped:8d} "
@@ -214,10 +161,7 @@ class RunMetrics:
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "shard_count": self.shard_count,
-            "stages": {name: stage.to_dict() for name, stage in self.stages.items()},
-        }
+        payload: dict[str, Any] = {"stages": {name: stage.to_dict() for name, stage in self.stages.items()}}
         if self.journal is not None:
             payload["journal"] = dict(self.journal)
         if self.serving is not None:
@@ -227,7 +171,6 @@ class RunMetrics:
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "RunMetrics":
         return cls(
-            shard_count=payload.get("shard_count", 1),
             stages={name: StageMetrics.from_dict(entry) for name, entry in payload.get("stages", {}).items()},
             journal=dict(payload["journal"]) if isinstance(payload.get("journal"), dict) else None,
             serving=dict(payload["serving"]) if isinstance(payload.get("serving"), dict) else None,

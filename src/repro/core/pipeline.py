@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -42,26 +41,18 @@ from repro.core.checkpoint import (
 from repro.core.config import PipelineConfig
 from repro.core.crashpoints import crashpoint
 from repro.core.journal import (
-    JournalStats,
     StageRecorder,
     UnitTracker,
     WriteAheadJournal,
+    capture_world_state,
     record_resume_provenance,
-    solver_history_dollars,
+    restore_world_state,
 )
-from repro.core.metrics import RunMetrics, ShardMetrics, StageMetrics
-from repro.core.resilience import CircuitBreakerRegistry, FaultRecord, RetryBudget, StageStatus
+from repro.core.metrics import RunMetrics, StageMetrics
+from repro.core.resilience import CircuitBreakerRegistry, FaultLedger, FaultRecord, RetryBudget, StageStatus
 from repro.core.results import PipelineResult
 from repro.core.storage import RecoveryManager, StorageError, install_disk_chaos
-from repro.core.sharding import (
-    ShardedExecutor,
-    ShardOutcome,
-    ShardWorld,
-    merge_honeypot_reports,
-    merge_in_order,
-    partition,
-)
-from repro.core.supervision import BotSupervisor, QuarantineRecord, verify_accounting
+from repro.core.supervision import BotSupervisor, QuarantineLog, QuarantineRecord, verify_accounting
 from repro.discordsim import behaviors
 from repro.discordsim.permissions import Permission
 from repro.discordsim.platform import DiscordPlatform
@@ -110,34 +101,22 @@ class PipelineWorld:
             ecosystem = StreamingEcosystem(eco_config)
         else:
             ecosystem = generate_ecosystem(eco_config)
-        return _simulation(config, ecosystem, None, 0.0)
+        clock = VirtualClock()
+        internet = VirtualInternet(clock, seed=config.seed)
+        platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
+        build_store_host(ecosystem, internet)
+        DiscordWebsite(ecosystem).register(internet)
+        GitHubSite(ecosystem).register(internet)
+        BotWebsiteBuilder(ecosystem).register(internet)
+        from repro.sites.reddit import RedditSite
 
+        RedditSite(seed=config.seed + 5).register(internet)
+        solver = TwoCaptchaClient(clock, balance=100.0, seed=config.seed + 2)
+        if config.chaos_profile is not None:
+            from repro.web.chaos import FaultSchedule
 
-def _simulation(config: PipelineConfig, ecosystem: Ecosystem, index: int | None, start_time: float) -> PipelineWorld:
-    """The simulation over ``ecosystem``: the main world, or shard ``index``'s.
-
-    A shard shares only the read-only ecosystem; its clock, internet (with
-    every site re-registered), platform and captcha solver are its own.
-    Shard seeds are offset by the index, so under chaos each shard draws an
-    independent fault schedule; shard 0 seeds like the main world.
-    """
-    offset = index or 0
-    clock = VirtualClock(start_time)
-    internet = VirtualInternet(clock, seed=config.seed + offset)
-    platform = DiscordPlatform(clock, captcha_seed=config.seed + 1)
-    build_store_host(ecosystem, internet)
-    DiscordWebsite(ecosystem).register(internet)
-    GitHubSite(ecosystem).register(internet)
-    BotWebsiteBuilder(ecosystem).register(internet)
-    from repro.sites.reddit import RedditSite
-
-    RedditSite(seed=config.seed + 5).register(internet)
-    solver = TwoCaptchaClient(clock, balance=100.0, seed=config.seed + 2 + offset)
-    if config.chaos_profile is not None:
-        from repro.web.chaos import FaultSchedule
-
-        internet.install_chaos(FaultSchedule(config.chaos_profile, seed=config.chaos_seed + offset))
-    return PipelineWorld(ecosystem=ecosystem, clock=clock, internet=internet, platform=platform, solver=solver)
+            internet.install_chaos(FaultSchedule(config.chaos_profile, seed=config.chaos_seed))
+        return cls(ecosystem=ecosystem, clock=clock, internet=internet, platform=platform, solver=solver)
 
 
 class _StageTimer:
@@ -152,30 +131,15 @@ class _StageTimer:
         self._skipped = pipeline.ledger.bots_skipped(stage)
         self._quarantined = pipeline.quarantines.count(stage)
 
-    def finish(self, bots_processed: int, outcomes: list[ShardOutcome] | None = None) -> StageMetrics:
-        shards: list[ShardMetrics] = []
-        shard_exchanges = 0
-        for outcome in outcomes or ():
-            shards.append(
-                ShardMetrics(
-                    shard=outcome.shard_index,
-                    bots=len(outcome.items),
-                    wall_seconds=outcome.wall_seconds,
-                    virtual_seconds=outcome.virtual_seconds,
-                    exchanges=outcome.exchanges,
-                    quarantined=len(outcome.quarantines),
-                )
-            )
-            shard_exchanges += outcome.exchanges
+    def finish(self, bots_processed: int) -> StageMetrics:
         return StageMetrics(
             stage=self.stage,
             wall_seconds=time.monotonic() - self._wall,
             virtual_seconds=self._pipeline.world.clock.now() - self._virtual,
-            exchanges=self._pipeline.world.internet.exchanges_total - self._exchanges + shard_exchanges,
+            exchanges=self._pipeline.world.internet.exchanges_total - self._exchanges,
             bots_processed=bots_processed,
             bots_skipped=self._pipeline.ledger.bots_skipped(self.stage) - self._skipped,
             bots_quarantined=self._pipeline.quarantines.count(self.stage) - self._quarantined,
-            shards=shards,
         )
 
 
@@ -184,8 +148,8 @@ class _Stage(NamedTuple):
 
     name: str
     enabled: bool
-    #: Run the stage on every lane: ``(value, per-shard outcomes or None)``.
-    execute: Callable[[], tuple[Any, list[ShardOutcome] | None]]
+    #: Run the stage and return its value.
+    execute: Callable[[], Any]
     #: Bots a value accounts for, and bots the stage was given.
     processed: Callable[[Any], int]
     population: Callable[[], int]
@@ -194,8 +158,8 @@ class _Stage(NamedTuple):
     store: Callable[[PipelineCheckpoint, Any], None]
 
 
-#: The per-bot stages 2 and 3: the scraper each runs on its lane (type and
-#: client id), its result codecs, the link whose host a transport fault is
+#: The per-bot stages 2 and 3: the scraper each runs (type and client id),
+#: its result codecs, the link whose host a transport fault is
 #: charged to, and the fault detail a skipped bot gets.
 _UNIT_STAGES = {
     STAGE_TRACEABILITY: (
@@ -217,26 +181,17 @@ class AssessmentPipeline:
         self.world = world or PipelineWorld.build(self.config)
         self.traceability_analyzer = TraceabilityAnalyzer()
         self.code_analyzer = CodeAnalyzer()
-        #: The main world as an execution lane (``index=None``): stages run
-        #: on it exactly as they run on a shard's lane.
-        self.lane = self._lane(self.world, None)
         #: Per-host circuit breakers shared by every scraper in this run.
-        self.breakers = self.lane.breakers
+        self.breakers = CircuitBreakerRegistry(self.world.clock)
         #: Structured account of every fault the run absorbed.
-        self.ledger = self.lane.ledger
+        self.ledger = FaultLedger()
         #: Bots the supervision layer pulled out of a stage mid-flight.
-        self.quarantines = self.lane.quarantines
+        self.quarantines = QuarantineLog()
         #: Per-stage run metrics (filled by :meth:`run`).
-        self.metrics = RunMetrics(shard_count=self.config.shards)
-        #: Lazily-built shard worlds (``config.shards > 1`` only).
-        self._shard_executor: ShardedExecutor | None = None
-        #: Intra-stage write-ahead journals (``config.journal_path`` only):
-        #: one for the main world, one per shard (``<path>.shard<k>``).
+        self.metrics = RunMetrics()
+        #: The intra-stage write-ahead journal (``config.journal_path`` only),
+        #: opened when :meth:`run` starts.
         self._journal: WriteAheadJournal | None = None
-        self._shard_journals: dict[int, WriteAheadJournal] = {}
-        #: World-state snapshots for shards not (yet) rebuilt this process,
-        #: restored from the checkpoint or a honeypot stage-complete record.
-        self._shard_world_states: dict[str, dict] = {}
         #: Where streamed stage results spill (created on first use).
         self._spill_dir: Path | None = None
         # Planting first: a sample too small for the adversaries asked for
@@ -245,7 +200,7 @@ class AssessmentPipeline:
             self._plant_adversaries()
         # Storage-fault injection is process-global (the durable-I/O
         # primitives consult one shim), so installing it here covers every
-        # artifact this run writes: checkpoint, spills and every journal.
+        # artifact this run writes: checkpoint, spills and the journal.
         if self.config.disk_chaos is not None:
             install_disk_chaos(self.config.disk_chaos, seed=self.config.disk_chaos_seed)
 
@@ -254,28 +209,28 @@ class AssessmentPipeline:
     def _stage_budget(self) -> RetryBudget:
         return RetryBudget(self.config.stage_retry_budget)
 
-    def _sink(self, stage: str, lane: ShardWorld) -> StageFaultSink:
-        """A fault sink writing to the lane's ledger on its clock."""
+    def _sink(self, stage: str) -> StageFaultSink:
+        """A fault sink writing to the run's ledger on the world's clock."""
 
         def sink(host: str, error: BaseException, bots_skipped: int, detail: str) -> None:
-            lane.ledger.record(stage, host, error, lane.clock.now(), bots_skipped=bots_skipped, detail=detail)
+            self.ledger.record(stage, host, error, self.world.clock.now(), bots_skipped=bots_skipped, detail=detail)
 
         return sink
 
-    def _supervisor(self, stage: str, lane: ShardWorld) -> BotSupervisor:
-        """A per-bot supervision firewall for ``stage`` on ``lane``.
+    def _supervisor(self, stage: str) -> BotSupervisor:
+        """A per-bot supervision firewall for ``stage``.
 
-        Quarantines land in the lane's ledger and log on the lane's clock;
-        the honeypot stage also guards the lane's platform event bus.
+        Quarantines land in the run's ledger and log on the world's clock;
+        the honeypot stage also guards the platform's event bus.
         Transport faults (``WebDriverException``/``NetworkError``) pass
         through untouched — the existing skip/fault-sink paths own those.
         """
         return BotSupervisor(
             stage=stage,
-            clock=lane.clock,
-            ledger=lane.ledger,
-            quarantines=lane.quarantines,
-            bus=lane.platform.events if stage == STAGE_HONEYPOT else None,
+            clock=self.world.clock,
+            ledger=self.ledger,
+            quarantines=self.quarantines,
+            bus=self.world.platform.events if stage == STAGE_HONEYPOT else None,
             max_events=self.config.max_bot_events,
             deadline=self.config.bot_deadline,
             # Storage faults must never be absorbed into a quarantine — a
@@ -325,76 +280,45 @@ class AssessmentPipeline:
 
     # -- journal + world-state helpers --------------------------------------
 
-    def _open_journal(self, path: str) -> WriteAheadJournal:
-        journal = WriteAheadJournal(path, fsync_every=self.config.journal_fsync_every)
-        if journal.discard_detail:
-            record_resume_provenance(self.ledger, f"{Path(path).name}: {journal.discard_detail}")
-        return journal
+    def _open_journal(self) -> None:
+        """Open the run's journal (``config.journal_path`` only)."""
+        path = self.config.journal_path
+        if path is None:
+            return
+        self._journal = WriteAheadJournal(path, fsync_every=self.config.journal_fsync_every)
+        if self._journal.discard_detail:
+            record_resume_provenance(self.ledger, f"{Path(path).name}: {self._journal.discard_detail}")
 
-    def _main_journal(self) -> WriteAheadJournal | None:
-        if self.config.journal_path is None:
-            return None
+    def _recorder(self, stage: str, scraper) -> StageRecorder | None:
+        """The journal cursor for one stage's unit loop (None without a journal)."""
         if self._journal is None:
-            self._journal = self._open_journal(self.config.journal_path)
-        return self._journal
-
-    def _recorder(
-        self, stage: str, lane: ShardWorld, journal: WriteAheadJournal | None, scraper
-    ) -> StageRecorder | None:
-        """The journal cursor for one stage's unit loop on ``lane`` (None without a journal)."""
-        if journal is None:
             return None
         tracker = UnitTracker(
-            lane.clock,
-            lane.internet,
-            lane.ledger,
-            lane.quarantines,
-            breakers=lane.breakers,
+            self.world.clock,
+            self.world.internet,
+            self.ledger,
+            self.quarantines,
+            breakers=self.breakers,
             budget=scraper.retry_budget,
-            solver=lane.solver,
+            solver=self.world.solver,
             scraper=scraper,
         )
-        return StageRecorder(journal, stage, tracker, lane.ledger)
+        return StageRecorder(self._journal, stage, tracker, self.ledger)
 
-    def _capture_all_worlds(self) -> dict:
-        """Snapshot the main world and every built shard world.
+    def _capture_world(self) -> dict:
+        """Snapshot the world's mutable simulation state.
 
-        Shards never rebuilt this process keep their stashed snapshots —
-        a resumed run that replays stages 2–4 from the checkpoint must not
-        lose the shard solver spend those snapshots carry.
+        The snapshot sits under the key ``main``: checkpoints and journal
+        records already on disk hold it there, and they must still resume.
         """
-        payload: dict[str, Any] = {"main": self.lane.capture(), "shards": dict(self._shard_world_states)}
-        if self._shard_executor is not None:
-            for shard in self._shard_executor.worlds:
-                payload["shards"][str(shard.index)] = shard.capture()
-        return payload
+        world = self.world
+        return {"main": capture_world_state(world.clock, world.internet, world.solver, self.breakers)}
 
-    def _restore_all_worlds(self, payload: dict) -> None:
+    def _restore_world(self, payload: dict) -> None:
         """Re-enter the simulation exactly where a snapshot left it."""
-        main = payload.get("main")
-        if main:
-            self.lane.restore(main)
-        shards = {str(key): value for key, value in payload.get("shards", {}).items()}
-        if self._shard_executor is not None:
-            for shard in self._shard_executor.worlds:
-                state = shards.get(str(shard.index))
-                if state:
-                    shard.restore(state)
-        self._shard_world_states = shards
-
-    def _aggregate_journal_stats(self) -> None:
-        journals = [journal for journal in (self._journal, *self._shard_journals.values()) if journal is not None]
-        if not journals:
-            return
-        total = JournalStats()
-        for journal in journals:
-            total.merge(journal.stats)
-        self.metrics.journal = total.to_dict()
-
-    def _close_journals(self) -> None:
-        for journal in (self._journal, *self._shard_journals.values()):
-            if journal is not None:
-                journal.close()
+        state = payload.get("main")
+        if state:
+            restore_world_state(self.world.clock, self.world.internet, self.world.solver, self.breakers, state)
 
     @staticmethod
     def _host_of(url: str | None) -> str:
@@ -426,13 +350,13 @@ class AssessmentPipeline:
             if (index + 1) % chunk == 0:
                 crashpoint("stream.after_chunk")
 
-    def _stage_results(self, stage: str, encode, decode, shard: int | None = None):
+    def _stage_results(self, stage: str, encode, decode):
         """A stage's result accumulator: a list, or a disk spill when streaming.
 
-        One JSONL spill per stage (per shard view, when sharded) beside the
-        checkpoint, or in a temp directory private to this pipeline, using
-        the stage's checkpoint codecs — so the streamed accumulator holds a
-        file handle and a count, never the records.
+        One JSONL spill per stage beside the checkpoint, or in a temp
+        directory private to this pipeline, using the stage's checkpoint
+        codecs — so the streamed accumulator holds a file handle and a
+        count, never the records.
         """
         if not self.config.stream:
             return []
@@ -440,8 +364,7 @@ class AssessmentPipeline:
 
         if self._spill_dir is None:
             self._spill_dir = spill_dir_for(self.config.checkpoint_path)
-        name = stage if shard is None else f"{stage}.shard{shard}"
-        return SpillList(self._spill_dir / f"{name}.jsonl", encode, decode)
+        return SpillList(self._spill_dir / f"{stage}.jsonl", encode, decode)
 
     # -- stages ------------------------------------------------------------
 
@@ -453,8 +376,8 @@ class AssessmentPipeline:
             breakers=self.breakers,
             retry_budget=self._stage_budget(),
         )
-        sink = self._sink(STAGE_CRAWL, self.lane)
-        recorder = self._recorder(STAGE_CRAWL, self.lane, self._main_journal(), scraper)
+        sink = self._sink(STAGE_CRAWL)
+        recorder = self._recorder(STAGE_CRAWL, scraper)
         bots_store = None
         if self.config.stream:
             bots_store = self._stage_results(STAGE_CRAWL, scraped_bot_to_dict, scraped_bot_from_dict)
@@ -487,9 +410,7 @@ class AssessmentPipeline:
         self,
         active_bots: list[ScrapedBot],
         on_fault: StageFaultSink | None = None,
-        world: ShardWorld | None = None,
         supervisor: BotSupervisor | None = None,
-        journal: WriteAheadJournal | None = None,
     ) -> list:
         """Stage 2: website crawl + keyword traceability per active bot.
 
@@ -497,11 +418,7 @@ class AssessmentPipeline:
         (circuit open, connection dropped) is skipped and reported instead
         of crashing the stage; unreachable-but-resolvable websites remain a
         *classification* outcome (broken traceability), not a fault.
-
-        ``world`` points the stage at a shard's lane (its clock, internet,
-        breakers, ledger and quarantine log); by default it runs on the
-        main lane.  ``supervisor`` and ``journal`` are as in
-        :meth:`_run_units`.
+        ``supervisor`` is as in :meth:`_run_units`.
         """
 
         def study(scraper: WebsiteScraper, bot: ScrapedBot):
@@ -518,17 +435,13 @@ class AssessmentPipeline:
                 policy_text=fetch.policy_text,
             )
 
-        return self._run_units(
-            STAGE_TRACEABILITY, self._stream_units(active_bots), study, world, on_fault, supervisor, journal
-        )
+        return self._run_units(STAGE_TRACEABILITY, self._stream_units(active_bots), study, on_fault, supervisor)
 
     def analyze_code(
         self,
         active_bots: list[ScrapedBot],
         on_fault: StageFaultSink | None = None,
-        world: ShardWorld | None = None,
         supervisor: BotSupervisor | None = None,
-        journal: WriteAheadJournal | None = None,
     ) -> list:
         """Stage 3: GitHub crawl + Table-3 pattern detection.
 
@@ -547,44 +460,40 @@ class AssessmentPipeline:
             )
 
         units = (bot for bot in self._stream_units(active_bots) if bot.github_url)
-        return self._run_units(STAGE_CODE, units, study, world, on_fault, supervisor, journal)
+        return self._run_units(STAGE_CODE, units, study, on_fault, supervisor)
 
     def _run_units(
         self,
         stage: str,
         units,
         study: Callable[[Any, ScrapedBot], Any],
-        world: ShardWorld | None,
         on_fault: StageFaultSink | None,
         supervisor: BotSupervisor | None,
-        journal: WriteAheadJournal | None,
     ) -> list:
         """The per-bot unit loop behind stages 2 and 3.
 
-        Each unit studies one bot with the stage's scraper, built on the
-        ``world`` lane (the main lane by default).  With a ``supervisor``,
-        ``study`` runs inside the supervision firewall: a crash or deadline
-        blow-out quarantines the bot instead of killing the stage.
-        Transport faults reach ``on_fault``, which skips the bot; without a
-        sink they raise.
+        Each unit studies one bot with the stage's scraper.  With a
+        ``supervisor``, ``study`` runs inside the supervision firewall: a
+        crash or deadline blow-out quarantines the bot instead of killing
+        the stage.  Transport faults reach ``on_fault``, which skips the
+        bot; without a sink they raise.
 
-        With a ``journal``, every bot — processed, skipped or quarantined —
-        commits one write-ahead record after its unit of work, and a resumed
-        run replays the journal's prefix instead of re-crawling those bots.
-        Replayed records land in the lane's ledger and quarantine log, where
-        the live run put them.
+        With the run's journal open, every bot — processed, skipped or
+        quarantined — commits one write-ahead record after its unit of
+        work, and a resumed run replays the journal's prefix instead of
+        re-crawling those bots.  Replayed records land in the run's ledger
+        and quarantine log, where the live run put them.
         """
         scraper_type, client_id, encode, decode, link, skip_detail = _UNIT_STAGES[stage]
-        lane = world or self.lane
         scraper = scraper_type(
-            lane.internet,
-            solver=lane.solver,
+            self.world.internet,
+            solver=self.world.solver,
             client_id=client_id,
-            breakers=lane.breakers,
+            breakers=self.breakers,
             retry_budget=self._stage_budget(),
         )
-        recorder = self._recorder(stage, lane, journal, scraper)
-        results = self._stage_results(stage, encode, decode, lane.index)
+        recorder = self._recorder(stage, scraper)
+        results = self._stage_results(stage, encode, decode)
         for bot in units:
             if recorder is not None:
                 replayed, payload = recorder.try_replay(bot.name)
@@ -611,40 +520,23 @@ class AssessmentPipeline:
                 crashpoint(f"{stage}.after_bot")
         return results
 
-    def run_honeypot(
-        self,
-        on_fault: StageFaultSink | None = None,
-        sample: list | None = None,
-        world: ShardWorld | None = None,
-        seed: int | None = None,
-        supervisor: BotSupervisor | None = None,
-        journal: WriteAheadJournal | None = None,
-    ) -> "HoneypotReport":
+    def run_honeypot(self, on_fault: StageFaultSink | None = None) -> "HoneypotReport":
         """Stage 4: dynamic analysis over the most-voted sample.
 
-        ``sample``/``world``/``seed`` let a shard run its bucket of bots on
-        its own platform view; the defaults reproduce the sequential run.
-        Called without a ``world``, a supervisor is built automatically so
-        hostile runtimes are quarantined; lane callers pass their own, wired
-        to the lane's clock and bus.
+        The campaign runs under a supervisor of its own, so hostile
+        runtimes are quarantined instead of killing the stage.
 
-        With a ``journal``, the ``honeypot.after_bot`` crash point fires
-        per settled bot outcome, but no per-bot record is written: guild
-        and platform internals replay all-or-nothing, so a crash mid-stage
-        re-runs the stage from its restored start state, and the
+        With the run's journal open, the ``honeypot.after_bot`` crash point
+        fires per settled bot outcome, but no per-bot record is written:
+        guild and platform internals replay all-or-nothing, so a crash
+        mid-stage re-runs the stage from its restored start state, and the
         ``stage_complete`` record :meth:`run` appends afterwards is what a
         resumed run replays.
         """
-        if supervisor is None and world is None:
-            supervisor = self._supervisor(STAGE_HONEYPOT, self.lane)
-        world = world or self.lane
-        if seed is None:
-            # Prime stride keeps shard streams clear of the other
-            # seed-derived streams (seed+1..seed+6).
-            seed = self.config.seed + 3 + (0 if world.index is None else 7919 * (world.index + 1))
-        unit_sink = None if journal is None else (lambda outcome: crashpoint("honeypot.after_bot"))
-
-        experiment = HoneypotExperiment(world.platform, world.internet, solver=world.solver, seed=seed)
+        supervisor = self._supervisor(STAGE_HONEYPOT)
+        unit_sink = None if self._journal is None else (lambda outcome: crashpoint("honeypot.after_bot"))
+        world = self.world
+        experiment = HoneypotExperiment(world.platform, world.internet, solver=world.solver, seed=self.config.seed + 3)
         feed_source = None
         if self.config.use_osn_feed:
             from repro.honeypot.osn_source import OsnFeedSource
@@ -658,98 +550,13 @@ class AssessmentPipeline:
                 source = None
             if source is not None and len(source):
                 feed_source = source.next_message
-        if sample is None:
-            sample = self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
         return experiment.run(
-            sample,
+            world.ecosystem.top_voted(self.config.honeypot_sample_size),
             feed_source=feed_source,
             fault_sink=on_fault,
             supervisor=supervisor,
             unit_sink=unit_sink,
         )
-
-    # -- execution lanes ----------------------------------------------------------
-
-    def _lane(self, world: PipelineWorld, index: int | None) -> ShardWorld:
-        """``world`` as an execution lane with circuit breakers of its own."""
-        breakers = CircuitBreakerRegistry(world.clock)
-        return ShardWorld(index, world.clock, world.internet, world.platform, world.solver, breakers)
-
-    def _shard_lane(self, index: int, start_time: float) -> ShardWorld:
-        """Shard ``index``'s isolated lane over this run's ecosystem."""
-        return self._lane(_simulation(self.config, self.world.ecosystem, index, start_time), index)
-
-    def _sharded(self) -> ShardedExecutor:
-        """The shard worlds, built lazily at the first sharded stage.
-
-        A resumed run re-enters each shard exactly where the saving run left
-        it: freshly built worlds are overwritten with the stashed per-shard
-        snapshots (RNG streams, chaos draws, breakers, solver accounts) so a
-        sharded resume stays byte-identical to an uninterrupted run.
-        """
-        if self._shard_executor is None:
-            start_time = self.world.clock.now()
-            worlds = [self._shard_lane(index, start_time) for index in range(self.config.shards)]
-            self._shard_executor = ShardedExecutor(worlds)
-            self._restore_all_worlds({"shards": self._shard_world_states})
-            if self.config.journal_path is not None:
-                self._shard_journals = {
-                    shard.index: self._open_journal(f"{self.config.journal_path}.shard{shard.index}")
-                    for shard in worlds
-                }
-        return self._shard_executor
-
-    def run_shard_bucket(self, stage: str, shard: ShardWorld, bots: list, journal: WriteAheadJournal | None):
-        """Run one lane's bucket of ``stage`` — the single per-bot stage
-        dispatch shared by the main world and every shard.
-
-        Faults, quarantines and supervision all land in the *lane's* own
-        ledger/log/bus; a sharded caller extracts the stage's deltas
-        afterwards.
-        """
-        if stage not in _UNIT_STAGES and stage != STAGE_HONEYPOT:
-            raise ValueError(f"stage {stage!r} is not sharded")
-        on_fault = self._sink(stage, shard)
-        supervisor = self._supervisor(stage, shard)
-        if stage in _UNIT_STAGES:
-            analyze = self.analyze_traceability if stage == STAGE_TRACEABILITY else self.analyze_code
-            return analyze(bots, on_fault=on_fault, world=shard, supervisor=supervisor, journal=journal)
-        if shard.index is not None and not bots:
-            # An empty shard bucket has nothing to honeypot, so it never
-            # scrapes the OSN feed either.
-            return HoneypotReport()
-        return self.run_honeypot(on_fault=on_fault, sample=bots, world=shard, supervisor=supervisor, journal=journal)
-
-    def _run_lanes(
-        self, stage: str, units, merge: Callable[[list[ShardOutcome]], Any]
-    ) -> tuple[Any, list[ShardOutcome] | None]:
-        """Run ``stage`` over ``units``: on the main lane, or split across shards.
-
-        Sharded, units partition by stable id hash (client id for the
-        honeypot, listing id otherwise); buckets run here in shard order,
-        and ``merge`` folds their values back.  The shards' records then
-        join the run's logs and the main clock moves to the shards'
-        horizon: virtual time merges as *max across shards*, because
-        shards run concurrently in simulated time.
-        """
-        if self.config.shards <= 1:
-            return self.run_shard_bucket(stage, self.lane, units, self._main_journal()), None
-        key = (lambda bot: bot.client_id) if stage == STAGE_HONEYPOT else (lambda bot: bot.listing_id)
-        buckets = partition(units, self.config.shards, key=key)
-        executor = self._sharded()
-        outcomes = executor.run_stage(
-            buckets,
-            lambda shard, bots: self.run_shard_bucket(stage, shard, bots, self._shard_journals.get(shard.index)),
-        )
-        for outcome in outcomes:
-            self.ledger.records.extend(outcome.faults)
-            self.quarantines.records.extend(outcome.quarantines)
-        horizon = executor.sync_clocks()
-        now = self.world.clock.now()
-        if horizon > now:
-            self.world.clock.advance(horizon - now)
-        crashpoint("sharding.after_merge")
-        return merge(outcomes), outcomes
 
     # -- orchestration ----------------------------------------------------------
 
@@ -761,18 +568,19 @@ class AssessmentPipeline:
         is accounted in ``fault_ledger``.
         With ``config.checkpoint_path``, the pipeline snapshots after every
         stage and a re-run resumes from the last completed one.  The
-        journals close however the run ends.
+        journal closes however the run ends.
         """
         try:
             return self._run_stages()
         finally:
-            self._close_journals()
+            if self._journal is not None:
+                self._journal.close()
 
     def _run_stages(self) -> PipelineResult:
         started_wall = time.monotonic()
         started_virtual = self.world.clock.now()
         spent_before = self.world.solver.total_spent
-        self.metrics = RunMetrics(shard_count=self.config.shards)
+        self.metrics = RunMetrics()
 
         checkpoint: PipelineCheckpoint | None = None
         if self.config.checkpoint_path is not None:
@@ -792,8 +600,8 @@ class AssessmentPipeline:
             # checkpoint (a fresh run, or one the scrub reset) carries no
             # world state, and every stage runs from the fresh world.
             if checkpoint.world_state:
-                self._restore_all_worlds(checkpoint.world_state)
-        self._main_journal()
+                self._restore_world(checkpoint.world_state)
+        self._open_journal()
 
         status: dict[str, str] = {}
 
@@ -843,22 +651,12 @@ class AssessmentPipeline:
         result.fault_ledger = self.ledger
         result.quarantines = self.quarantines
         result.stage_status = status
-        self._aggregate_journal_stats()
+        if self._journal is not None:
+            self.metrics.journal = self._journal.stats.to_dict()
         result.metrics = self.metrics
         result.wall_seconds = time.monotonic() - started_wall
         result.virtual_seconds = self.world.clock.now() - started_virtual
-        # Captcha dollars merge as a *sum*: the main solver's delta plus
-        # everything the per-shard solvers spent.  When a resumed run never
-        # rebuilt the shard worlds, their spend still lives in the stashed
-        # snapshots' solver histories.
         result.captcha_dollars = self.world.solver.total_spent - spent_before
-        if self._shard_executor is not None:
-            result.captcha_dollars += self._shard_executor.captcha_dollars()
-        elif self._shard_world_states:
-            result.captcha_dollars += sum(
-                solver_history_dollars(state.get("solver", {}))
-                for state in self._shard_world_states.values()
-            )
         return result
 
     def _stage_table(self, active, active_count: int, linked_count: int) -> tuple[_Stage, ...]:
@@ -867,37 +665,18 @@ class AssessmentPipeline:
         ``active_count`` and ``linked_count`` are stage 2's and stage 3's
         populations, counted by the crawl accounting's walk.
         """
-        by_name = attrgetter("bot_name")
 
         def traceability():
-            results, outcomes = self._run_lanes(
-                STAGE_TRACEABILITY,
-                active,
-                lambda outcomes: merge_in_order(
-                    outcomes, [bot.name for bot in active], key=by_name, what="traceability merge"
-                ),
+            results = self.analyze_traceability(
+                active, on_fault=self._sink(STAGE_TRACEABILITY), supervisor=self._supervisor(STAGE_TRACEABILITY)
             )
-            return (results, self._validate_traceability()), outcomes
+            return results, self._validate_traceability()
 
         def code():
-            # Only GitHub-linked bots ever enter the stage; the others are
-            # legitimately absent from every shard, not silently dropped.
-            return self._run_lanes(
-                STAGE_CODE,
-                active,
-                lambda outcomes: merge_in_order(
-                    outcomes, [bot.name for bot in active if bot.github_url], key=by_name, what="code merge"
-                ),
-            )
-
-        def sample() -> list:
-            return self.world.ecosystem.top_voted(self.config.honeypot_sample_size)
+            return self.analyze_code(active, on_fault=self._sink(STAGE_CODE), supervisor=self._supervisor(STAGE_CODE))
 
         def honeypot():
-            bots = sample()
-            return self._run_lanes(
-                STAGE_HONEYPOT, bots, lambda outcomes: merge_honeypot_reports(outcomes, [bot.name for bot in bots])
-            )
+            return self.run_honeypot(on_fault=self._sink(STAGE_HONEYPOT))
 
         return (
             _Stage(
@@ -923,7 +702,7 @@ class AssessmentPipeline:
                 self.config.run_honeypot,
                 honeypot,
                 processed=lambda report: report.bots_processed,
-                population=lambda: len(sample()),
+                population=lambda: len(self.world.ecosystem.top_voted(self.config.honeypot_sample_size)),
                 restore=PipelineCheckpoint.restore_honeypot,
                 store=PipelineCheckpoint.store_honeypot,
             ),
@@ -934,10 +713,9 @@ class AssessmentPipeline:
 
         A stage the checkpoint holds resumes from it, and a honeypot stage
         whose ``stage_complete`` record the journal holds replays from that.
-        Any other stage executes on every lane: timed, marked ``failed``
-        when a transport fault escapes it, and held to the accounting
-        invariant.  A value that did not come from the checkpoint is saved
-        into it.
+        Any other stage executes: timed, marked ``failed`` when a transport
+        fault escapes it, and held to the accounting invariant.  A value
+        that did not come from the checkpoint is saved into it.
         """
         name = stage.name
         if checkpoint is not None and checkpoint.has_stage(name):
@@ -954,16 +732,16 @@ class AssessmentPipeline:
             # The honeypot's stage_complete record carries the stage's records.
             faults_mark = self.ledger.mark()
             quarantines_mark = self.quarantines.mark()
-            value = outcomes = None
+            value = None
             try:
-                value, outcomes = stage.execute()
+                value = stage.execute()
                 status[name] = self._stage_outcome(name)
             except (WebDriverException, NetworkError) as error:
                 self.ledger.record(
                     name, "<pipeline>", error, self.world.clock.now(), detail="stage aborted; output incomplete"
                 )
                 status[name] = StageStatus.FAILED.value
-            entry = timer.finish(bots_processed=0 if value is None else stage.processed(value), outcomes=outcomes)
+            entry = timer.finish(bots_processed=0 if value is None else stage.processed(value))
             entry.outcome = status[name]
             self.metrics.record(entry)
             self._enforce_accounting(name, stage.population(), status[name])
@@ -997,18 +775,17 @@ class AssessmentPipeline:
         """Journal the honeypot's ``stage_complete`` record (journaled runs only).
 
         This is the stage's only journal record, and what a crash between
-        here and the checkpoint save replays: the merged report, the
-        post-stage world, and the stage's fault deltas.
+        here and the checkpoint save replays: the report, the post-stage
+        world, and the stage's fault deltas.
         """
-        journal = self._main_journal()
-        if journal is None:
+        if self._journal is None:
             return
-        journal.append(
+        self._journal.append(
             STAGE_HONEYPOT,
             "stage_complete",
             {
                 "result": {"report": honeypot_to_dict(report), "metrics": entry.to_dict(), "status": status},
-                "world": self._capture_all_worlds(),
+                "world": self._capture_world(),
                 "faults": [record.to_dict() for record in self.ledger.records_since(faults_mark)],
                 "quarantines": [record.to_dict() for record in self.quarantines.records_since(quarantines_mark)],
             },
@@ -1024,20 +801,19 @@ class AssessmentPipeline:
         ``stage_complete`` record (a crash in the compute-to-checkpoint-save
         window) short-circuits execution.
         """
-        journal = self._main_journal()
-        if journal is None:
+        if self._journal is None:
             return None
-        pending = journal.pending(STAGE_HONEYPOT)
+        pending = self._journal.pending(STAGE_HONEYPOT)
         record = next((record for record in pending if record.key == "stage_complete"), None)
         if record is None:
             return None
-        journal.stats.replayed += 1
+        self._journal.stats.replayed += 1
         body = record.body
         for payload in body.get("faults", ()):
             self.ledger.records.append(FaultRecord.from_dict(payload))
         for payload in body.get("quarantines", ()):
             self.quarantines.records.append(QuarantineRecord.from_dict(payload))
-        self._restore_all_worlds(body.get("world", {}))
+        self._restore_world(body.get("world", {}))
         stored = body["result"]
         return (
             honeypot_from_dict(stored["report"]),
@@ -1050,7 +826,7 @@ class AssessmentPipeline:
         checkpoint.ledger = self.ledger
         checkpoint.quarantines = self.quarantines
         checkpoint.metrics = {stage: entry.to_dict() for stage, entry in self.metrics.stages.items()}
-        checkpoint.world_state = self._capture_all_worlds()
+        checkpoint.world_state = self._capture_world()
         assert self.config.checkpoint_path is not None
         if self.config.stream:
             # Streamed checkpoints record spill references + counts (a

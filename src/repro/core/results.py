@@ -56,8 +56,7 @@ class PipelineResult:
     quarantines: QuarantineLog = field(default_factory=QuarantineLog)
     stage_status: dict[str, str] = field(default_factory=dict)
 
-    # Operational metrics: per-stage wall/virtual time, traffic, and
-    # per-shard throughput when the run was sharded.
+    # Operational metrics: per-stage wall/virtual time and traffic.
     metrics: RunMetrics = field(default_factory=RunMetrics)
 
     @property

@@ -150,7 +150,7 @@ def comparable_result(payload: dict[str, Any]) -> dict[str, Any]:
     one, but not the same process history.  This strips exactly the fields
     that describe process history and nothing else:
 
-    - wall-clock seconds (top level, per stage, per shard) — host timing;
+    - wall-clock seconds (top level and per stage) — host timing;
     - journal counters and per-stage ``resumed`` flags;
     - fault-ledger records with the reserved provenance stages
       (``journal`` / ``checkpoint`` / ``storage``), with the "Absorbed N faults" summary
@@ -204,8 +204,6 @@ def comparable_result(payload: dict[str, Any]) -> dict[str, Any]:
         for entry in stage_entries.values():
             entry.pop("wall_seconds", None)
             entry.pop("resumed", None)
-            for shard in entry.get("shards", []):
-                shard.pop("wall_seconds", None)
 
     stage_status = data.get("stage_status")
     if isinstance(stage_status, dict):

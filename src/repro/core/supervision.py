@@ -20,7 +20,7 @@ a :class:`QuarantineRecord` lands in the :class:`QuarantineLog`, and the
 stage moves on to the next bot.  Quarantine extends the pipeline's
 accounting invariant from ``collected + skipped == population`` to
 ``processed + skipped + quarantined == population``, enforced by
-:func:`verify_accounting` after every fresh stage — sequential or sharded.
+:func:`verify_accounting` after every fresh stage.
 """
 
 from __future__ import annotations

@@ -174,16 +174,13 @@ class CodeAnalysisTargets:
 
 @dataclass
 class HoneypotTargets:
-    """Dynamic-analysis campaign parameters (Section 4.2)."""
+    """Dynamic-analysis calibration (Section 4.2).
 
-    bots_tested: int = 500
-    personas_per_guild: int = 5
-    feed_messages: int = 25
-    token_types: tuple[str, ...] = ("url", "email", "word", "pdf")
-    #: Exactly one trigger in 500 tested bots (the Melonian incident).
-    expected_triggers: int = 1
-    #: Rate of invasive behaviour among the *most-voted* sample.
-    invasive_rate: float = 1 / 500
+    The campaign's own sizes are constants where the campaign reads them:
+    ``PERSONAS_PER_GUILD`` and ``FEED_MESSAGES`` in
+    :mod:`repro.honeypot.environment`.
+    """
+
     #: Mix of non-invasive behaviours for the remainder of the population.
     benign_behavior_weights: dict[str, float] = field(
         default_factory=lambda: {

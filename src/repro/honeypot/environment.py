@@ -22,6 +22,11 @@ from repro.honeypot.personas import PersonaSet, create_personas, join_guild_with
 from repro.honeypot.tokens import CanaryToken, TokenFactory, TokenKind
 from repro.web.captcha import TwoCaptchaClient
 
+#: The paper's campaign: 5 virtual users in every honeypot guild, and a
+#: 25-message feed posted before the canary tokens.
+PERSONAS_PER_GUILD = 5
+FEED_MESSAGES = 25
+
 
 @dataclass
 class GuildEnvironment:
@@ -46,8 +51,8 @@ def provision_environment(
     factory: TokenFactory,
     solver: TwoCaptchaClient,
     rng: random.Random,
-    personas_per_guild: int = 5,
-    feed_messages: int = 25,
+    personas_per_guild: int = PERSONAS_PER_GUILD,
+    feed_messages: int = FEED_MESSAGES,
     token_kinds: tuple[TokenKind, ...] = (TokenKind.URL, TokenKind.EMAIL, TokenKind.WORD, TokenKind.PDF),
     on_installed: "Callable[[GuildEnvironment], None] | None" = None,
     personas: PersonaSet | None = None,

@@ -17,7 +17,7 @@ from repro.discordsim.bot import BotRuntime
 from repro.discordsim.platform import DiscordPlatform, InstallError
 from repro.ecosystem.generator import BotProfile
 from repro.honeypot.console import CanaryConsole, TriggerRecord
-from repro.honeypot.environment import GuildEnvironment, provision_environment
+from repro.honeypot.environment import FEED_MESSAGES, PERSONAS_PER_GUILD, GuildEnvironment, provision_environment
 from repro.honeypot.tokens import TokenFactory, TokenKind
 from repro.web.captcha import CaptchaError, TwoCaptchaClient
 from repro.web.http import Response
@@ -27,10 +27,7 @@ from repro.web.server import VirtualHost
 #: Attacker-side collector infrastructure used by exfiltrating bots.
 EXFIL_HOSTNAME = "collector.evil.sim"
 
-#: The paper's campaign: 5 virtual users in every honeypot guild, a
-#: 25-message feed, and a day of observation.
-PERSONAS_PER_GUILD = 5
-FEED_MESSAGES = 25
+#: The paper's day of observation.
 OBSERVATION_WINDOW = 86_400.0
 
 
@@ -324,8 +321,7 @@ class HoneypotExperiment:
 
         # Outcomes settle in phases (broken invites and quarantines during
         # provisioning, survivors at attribution), but the report promises
-        # sampling order — the same contract merge_honeypot_reports enforces
-        # when shards are recombined, so sequential and sharded runs agree.
+        # sampling order.
         order = {bot.name: index for index, bot in enumerate(sample)}
         report.outcomes.sort(key=lambda outcome: order.get(outcome.bot_name, len(order)))
 

@@ -4,7 +4,7 @@ The contract under test is *blast-radius zero*: planting a crasher, a
 flooder and a staller into the honeypot sample must quarantine exactly
 those three runtimes — with the right reasons and root causes in the
 ledger — while every other bot's statistics stay byte-identical to an
-adversary-free run, sequentially and under ``shards=4``.
+adversary-free run.
 
 ``use_osn_feed=False`` keeps the conversation feed per-bot-deterministic
 (the scraped OSN feed is a shared sequential source, so an adversary
@@ -71,16 +71,6 @@ def baseline():
 @pytest.fixture(scope="module")
 def hostile():
     return AssessmentPipeline(_config(adversarial_bots=ADVERSARIES)).run()
-
-
-@pytest.fixture(scope="module")
-def baseline_sharded():
-    return AssessmentPipeline(_config(shards=4)).run()
-
-
-@pytest.fixture(scope="module")
-def hostile_sharded():
-    return AssessmentPipeline(_config(shards=4, adversarial_bots=ADVERSARIES)).run()
 
 
 def _assert_adversaries_contained(hostile_result, baseline_result):
@@ -155,16 +145,6 @@ class TestPlanting:
         """At seed 3 a 10-bot sample holds two plantable bots, so asking for three fails up front."""
         with pytest.raises(ValueError, match=r"adversarial_bots=3, but the 10-bot honeypot sample holds only 2 "):
             AssessmentPipeline(_config(honeypot_sample_size=10, adversarial_bots=ADVERSARIES))
-
-
-class TestSharded:
-    def test_adversaries_quarantined_everyone_else_identical(self, hostile_sharded, baseline_sharded):
-        _assert_adversaries_contained(hostile_sharded, baseline_sharded)
-
-    def test_sharded_quarantines_match_sequential(self, hostile_sharded, hostile):
-        sharded = {(r.bot_name, r.reason) for r in hostile_sharded.quarantines.records}
-        sequential = {(r.bot_name, r.reason) for r in hostile.quarantines.records}
-        assert sharded == sequential
 
 
 class TestCheckpointedAdversaries:

@@ -43,15 +43,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_run_has_no_parallel_flag(self, capsys):
+    @pytest.mark.parametrize("flag", [["--parallel"], ["--shards", "2"]], ids=["parallel", "shards"])
+    def test_run_has_no_deleted_flag(self, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
-            main(["--bots", "60", "run", "--parallel"])
+            main(["--bots", "60", "run", *flag])
         assert exit_info.value.code == 2
-        assert "--parallel" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
 
-    def test_crash_driver_refuses_a_parallel_field(self):
-        with pytest.raises(SystemExit, match="'parallel'"):
-            build_config({"parallel": True})
+    @pytest.mark.parametrize("field", ["parallel", "shards"])
+    def test_crash_driver_refuses_a_deleted_field(self, field):
+        with pytest.raises(SystemExit, match=f"unknown config field '{field}'"):
+            build_config({field: 2})
 
     def test_platforms_command(self, capsys):
         assert main(["platforms"]) == 0

@@ -1,7 +1,7 @@
 """Systematic crash-point injection matrix.
 
-For each scenario (sequential and sharded, both under hostile chaos with
-planted adversarial bots, checkpoint + journal armed) the harness:
+For each scenario (materialized and streamed, both under hostile chaos
+with planted adversarial bots, checkpoint + journal armed) the harness:
 
 1. runs a never-crashed **golden** subprocess with
    ``REPRO_CRASHPOINTS_RECORD`` set, learning which registered crash
@@ -48,12 +48,11 @@ BASE_CONFIG = {
 }
 
 SCENARIOS = {
-    "sequential": {"shards": 1},
-    "sharded": {"shards": 4},
+    "sequential": {},
     # Chunked stream consumption: the chunk size sits below the active
     # population so both the mid-chunk and chunk-boundary kills (plus the
     # cursor-save kill) genuinely occur.
-    "streamed": {"shards": 1, "stream": True, "chunk_size": 16},
+    "streamed": {"stream": True, "chunk_size": 16},
 }
 
 

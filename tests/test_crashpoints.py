@@ -80,9 +80,9 @@ def test_read_fired_missing_file_is_empty(tmp_path) -> None:
     assert read_fired(tmp_path / "absent.txt") == {}
 
 
-def test_sharded_run_fires_crash_points_in_a_fixed_order(tmp_path) -> None:
-    """Shard buckets run one after another, so ``NAME:N`` always names the
-    same unit of a sharded run."""
+def test_run_fires_crash_points_in_a_fixed_order(tmp_path) -> None:
+    """Stages run one unit at a time, so two identical runs fire the same
+    point sequence and ``NAME:N`` always names the same unit."""
     from repro.core.config import PipelineConfig
     from repro.core.pipeline import AssessmentPipeline
 
@@ -98,7 +98,6 @@ def test_sharded_run_fires_crash_points_in_a_fixed_order(tmp_path) -> None:
             chaos_profile="hostile",
             chaos_seed=1,
             adversarial_bots=2,
-            shards=4,
             journal_path=str(workdir / "journal.wal"),
         )
         AssessmentPipeline(config=config).run()
@@ -106,6 +105,5 @@ def test_sharded_run_fires_crash_points_in_a_fixed_order(tmp_path) -> None:
         return seen
 
     first = fired(tmp_path / "first")
-    assert first.count("sharding.after_shard") == 12
     assert "traceability.after_bot" in first and "honeypot.after_bot" in first
     assert fired(tmp_path / "second") == first

@@ -28,8 +28,6 @@ def strip_wall_times(payload: dict) -> dict:
     payload.pop("wall_seconds", None)
     for stage in payload.get("metrics", {}).get("stages", {}).values():
         stage.pop("wall_seconds", None)
-        for shard in stage.get("shards", []):
-            shard.pop("wall_seconds", None)
     return payload
 
 

@@ -254,17 +254,18 @@ _MATRIX = dict(
 )
 
 
-def _whole(lane, scraper) -> str:
+def _whole(pipeline, scraper) -> str:
     """Every tracked component captured whole, as the pre-delta tracker did."""
-    internet = lane.internet
+    world = pipeline.world
+    internet = world.internet
     return _canonical({
-        "clock": lane.clock.now(),
+        "clock": world.clock.now(),
         "internet": internet.state_dict(),
         "chaos": internet.chaos.state_dict(),
         "hosts": {name: internet.host(name).state_dict() for name in internet.hostnames()},
-        "breakers": lane.breakers.state_dict(),
+        "breakers": pipeline.breakers.state_dict(),
         "budget": scraper.retry_budget.state_dict(),
-        "solver": lane.solver.state_dict(),
+        "solver": world.solver.state_dict(),
         "scraper": {
             **scraper.state_dict(), "robots": scraper.robots.state_dict(), "cookies": scraper.cookies.state_dict(),
         },
@@ -279,16 +280,16 @@ def live_run(tmp_path_factory):
     stages: dict[str, dict] = {}
     original = AssessmentPipeline._recorder
 
-    def recorder(self, stage, lane, journal, scraper):
-        made = original(self, stage, lane, journal, scraper)
+    def recorder(self, stage, scraper):
+        made = original(self, stage, scraper)
         if stage not in _UNIT_STAGES or made is None:
             return made
-        seen = stages[stage] = {"start": lane.capture(), "start_whole": _whole(lane, scraper), "after": []}
+        seen = stages[stage] = {"start": self._capture_world(), "start_whole": _whole(self, scraper), "after": []}
         commit = made.commit
 
         def recorded(key, result):
             record = commit(key, result)
-            seen["after"].append(_whole(lane, scraper))
+            seen["after"].append(_whole(self, scraper))
             return record
 
         made.commit = recorded
@@ -310,21 +311,21 @@ def test_replaying_every_prefix_rebuilds_the_live_world(live_run, stage) -> None
     assert len(records) == len(live["after"]) >= 5
 
     replica = AssessmentPipeline(PipelineConfig(**_MATRIX))
-    lane = replica.lane
-    lane.restore(live["start"])
+    world = replica.world
+    replica._restore_world(live["start"])
     scraper_type, client_id = _UNIT_STAGES[stage][:2]
     scraper = scraper_type(
-        lane.internet, solver=lane.solver, client_id=client_id,
-        breakers=lane.breakers, retry_budget=replica._stage_budget(),
+        world.internet, solver=world.solver, client_id=client_id,
+        breakers=replica.breakers, retry_budget=replica._stage_budget(),
     )
-    assert _whole(lane, scraper) == live["start_whole"]
+    assert _whole(replica, scraper) == live["start_whole"]
     tracker = UnitTracker(
-        lane.clock, lane.internet, lane.ledger, lane.quarantines,
-        breakers=lane.breakers, budget=scraper.retry_budget, solver=lane.solver, scraper=scraper,
+        world.clock, world.internet, replica.ledger, replica.quarantines,
+        breakers=replica.breakers, budget=scraper.retry_budget, solver=world.solver, scraper=scraper,
     )
     for k, record in enumerate(records, start=1):
         tracker.apply(record.body)
-        assert _whole(lane, scraper) == live["after"][k - 1], f"{stage}: replay of records 1..{k} diverged"
+        assert _whole(replica, scraper) == live["after"][k - 1], f"{stage}: replay of records 1..{k} diverged"
 
 
 def test_the_honeypot_journals_only_its_stage_complete_record(live_run) -> None:

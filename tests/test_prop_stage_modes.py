@@ -1,11 +1,10 @@
 """Property: stages 2–4 give the same result in every mode the driver serves.
 
-One stage driver runs stages 2–4 whatever the mode: one lane or several
-shards, a materialized or a streamed population, with or without a
-checkpoint and write-ahead journal, and with any subset of the stages
-switched off.  A run in any such mode must produce the comparable result
-JSON of a plain run with the same shards and stage switches, and must
-report each disabled stage as ``skipped``.
+One stage driver runs stages 2–4 whatever the mode: a materialized or a
+streamed population, with or without a checkpoint and write-ahead
+journal, and with any subset of the stages switched off.  A run in any
+such mode must produce the comparable result JSON of a plain run with the
+same stage switches, and must report each disabled stage as ``skipped``.
 """
 
 from __future__ import annotations
@@ -31,11 +30,9 @@ SWITCHES = {
 }
 
 
-def _config(shards: int, enabled: tuple[bool, bool, bool], **extra) -> PipelineConfig:
+def _config(enabled: tuple[bool, bool, bool], **extra) -> PipelineConfig:
     switches = {switch: on for switch, on in zip(SWITCHES.values(), enabled)}
-    return PipelineConfig(
-        n_bots=40, seed=5, honeypot_sample_size=6, validation_sample_size=8, shards=shards, **switches, **extra
-    )
+    return PipelineConfig(n_bots=40, seed=5, honeypot_sample_size=6, validation_sample_size=8, **switches, **extra)
 
 
 def _comparable_json(result) -> str:
@@ -43,18 +40,17 @@ def _comparable_json(result) -> str:
 
 
 @lru_cache(maxsize=None)
-def _plain(shards: int, enabled: tuple[bool, bool, bool]) -> str:
-    return _comparable_json(AssessmentPipeline(config=_config(shards, enabled)).run())
+def _plain(enabled: tuple[bool, bool, bool]) -> str:
+    return _comparable_json(AssessmentPipeline(config=_config(enabled)).run())
 
 
 @settings(max_examples=16, deadline=None)
 @given(
-    shards=st.sampled_from([1, 3]),
     enabled=st.tuples(st.booleans(), st.booleans(), st.booleans()),
     stream=st.booleans(),
     durable=st.booleans(),
 )
-def test_every_mode_matches_the_plain_run(shards, enabled, stream, durable):
+def test_every_mode_matches_the_plain_run(enabled, stream, durable):
     with tempfile.TemporaryDirectory() as workdir:
         extra: dict = {}
         if stream:
@@ -64,9 +60,9 @@ def test_every_mode_matches_the_plain_run(shards, enabled, stream, durable):
                 checkpoint_path=str(Path(workdir) / "ckpt.json"),
                 journal_path=str(Path(workdir) / "journal.wal"),
             )
-        result = AssessmentPipeline(config=_config(shards, enabled, **extra)).run()
+        result = AssessmentPipeline(config=_config(enabled, **extra)).run()
         # Streamed results read back from spills inside ``workdir``.
-        assert _comparable_json(result) == _plain(shards, enabled)
+        assert _comparable_json(result) == _plain(enabled)
     for stage, on in zip(SWITCHES, enabled):
         if not on:
             assert result.stage_status[stage] == "skipped"

@@ -11,7 +11,6 @@ behaviour:
 * Index-based fault-ledger marks broke the moment the bounded ring
   trimmed: ``del records[:excess]`` shifts every index, and a later slice
   shipped pre-stage records as the stage's delta.
-* ``merge_in_order`` silently dropped bots absent from ``by_key``.
 * ``LatencyReservoir.percentile`` boundary behaviour (p=0, p=100, exact
   interpolation) guards the p50/p99 numbers ops dashboards alert on.
 """
@@ -21,8 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.resilience import FaultLedger
-from repro.core.sharding import ShardOutcome, merge_in_order
-from repro.core.supervision import AccountingError, QuarantineRecord
 from repro.serving.admission import AdmissionQueue, Bulkhead
 from repro.serving.metrics import LatencyReservoir
 from repro.serving.service import retry_after_header
@@ -111,49 +108,6 @@ class TestTrimmedLedgerMarks:
         clone = FaultLedger.from_dict(ledger.to_dict())
         assert clone.drop_offset == ledger.drop_offset == 3
         assert clone.mark() == ledger.mark()
-
-
-class TestLoudMerge:
-    @staticmethod
-    def _outcome(values, quarantines=(), shard_index=0):
-        return ShardOutcome(
-            shard_index=shard_index,
-            items=[],
-            value=values,
-            wall_seconds=0.0,
-            virtual_seconds=0.0,
-            exchanges=0,
-            quarantines=list(quarantines),
-        )
-
-    @staticmethod
-    def _item(name):
-        class Item:
-            def __init__(self, bot_name):
-                self.bot_name = bot_name
-
-        return Item(name)
-
-    def test_unexplained_missing_bot_raises(self):
-        outcomes = [self._outcome([self._item("a")])]
-        with pytest.raises(AccountingError, match="merge lost 1 bot"):
-            merge_in_order(outcomes, ["a", "b"], key=lambda item: item.bot_name, what="test merge")
-
-    def test_quarantined_bot_may_be_missing(self):
-        record = QuarantineRecord(
-            stage="stage", bot_name="b", reason="crash", root_cause="Boom", virtual_time=0.0
-        )
-        outcomes = [self._outcome([self._item("a")], quarantines=[record])]
-        merged = merge_in_order(outcomes, ["a", "b"], key=lambda item: item.bot_name)
-        assert [item.bot_name for item in merged] == ["a"]
-
-    def test_skip_budget_covers_missing_bots(self):
-        ledger = FaultLedger()
-        ledger.record("stage", "host", "Dead", 0.0, bots_skipped=1)
-        outcome = self._outcome([self._item("a")])
-        outcome.faults = list(ledger.records)
-        merged = merge_in_order([outcome], ["a", "b"], key=lambda item: item.bot_name)
-        assert [item.bot_name for item in merged] == ["a"]
 
 
 class TestLatencyReservoirBoundaries:

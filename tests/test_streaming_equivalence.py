@@ -6,8 +6,7 @@ Three layers of the equivalence contract from ISSUE 9:
    element-identical to `generate_ecosystem` for randomized seeds — the
    stream is a view of the same deterministic population, not a lookalike.
 2. **Pipeline**: a `--stream` run produces comparable result JSON that is
-   byte-identical to the materialized run, sequential and sharded, with
-   bot payloads included.
+   byte-identical to the materialized run, with bot payloads included.
 3. **Memory**: streamed consumption stays under a fixed traced-memory
    ceiling independent of population size, and the full streamed pipeline
    grows sublinearly once its bounded caches saturate — a reintroduced
@@ -95,20 +94,11 @@ def materialized_golden() -> bytes:
     return _comparable_json(AssessmentPipeline(config=_config()).run())
 
 
-@pytest.fixture(scope="module")
-def materialized_sharded_golden() -> bytes:
-    return _comparable_json(AssessmentPipeline(config=_config(shards=4)).run())
-
-
 class TestPipelineByteIdentity:
     @pytest.mark.parametrize("chunk_size", [16, 37, 512])
     def test_streamed_sequential_matches_materialized(self, chunk_size, materialized_golden):
         streamed = AssessmentPipeline(config=_config(stream=True, chunk_size=chunk_size)).run()
         assert _comparable_json(streamed) == materialized_golden
-
-    def test_streamed_sharded_matches_materialized(self, materialized_sharded_golden):
-        streamed = AssessmentPipeline(config=_config(stream=True, chunk_size=16, shards=4)).run()
-        assert _comparable_json(streamed) == materialized_sharded_golden
 
     def test_streamed_checkpointed_matches_materialized(self, materialized_golden, tmp_path):
         config = _config(
