@@ -84,10 +84,6 @@ class CommandSpec:
     handler: CommandHandler
     description: str = ""
 
-    @property
-    def checks_user_permissions(self) -> bool:
-        return bool(getattr(self.handler, "performs_permission_check", False))
-
 
 class BotRuntime:
     """Runs one bot account: command dispatch plus raw message listeners."""

@@ -61,9 +61,6 @@ class CanaryConsole:
         """Arm a freshly minted token."""
         self._tokens[token.token_id] = RegisteredToken(token=token, deployed_at=self._clock_now())
 
-    def tokens_for_context(self, context: str) -> list[CanaryToken]:
-        return [entry.token for entry in self._tokens.values() if entry.token.context == context]
-
     # -- endpoints ----------------------------------------------------------------
 
     def _beacon(self, request: Request, token_id: str) -> Response:

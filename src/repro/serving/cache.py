@@ -155,9 +155,6 @@ class VerdictCache:
     def count_stale_hit(self) -> None:
         self.stale_hits += 1
 
-    def count_miss(self) -> None:
-        self.misses += 1
-
     def store(
         self, bot: BotProfile, payload: dict[str, Any], now: float, fingerprint: str | None = None
     ) -> CacheEntry:
@@ -184,9 +181,6 @@ class VerdictCache:
         entry.superseded = True
         self.invalidations += 1
         return True
-
-    def drop(self, bot_name: str) -> None:
-        self.entries.pop(bot_name, None)
 
     def __len__(self) -> int:
         return len(self.entries)

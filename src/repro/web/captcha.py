@@ -85,10 +85,6 @@ class CaptchaService:
         self.stats.rejected += 1
         return False
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def state_dict(self) -> dict:
         return {
             "rng": rng_state(self._rng),

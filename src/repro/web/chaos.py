@@ -150,16 +150,6 @@ class ChaosStats:
     captcha_walls: int = 0
     truncated_responses: int = 0
 
-    @property
-    def total_injected(self) -> int:
-        return (
-            self.outages
-            + self.error_responses
-            + self.rate_limited
-            + self.captcha_walls
-            + self.truncated_responses
-        )
-
 
 @dataclass(frozen=True)
 class FaultWindow:

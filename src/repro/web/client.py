@@ -2,8 +2,10 @@
 
 Implements the behaviours the paper's scraper depends on: timeouts (slow
 redirect links "timed out"), bounded redirect following (invalid invite
-links), retries with backoff, and per-host cookies (captcha clearance
-tokens are delivered as cookies by the anti-scraping middleware).
+links) and per-host cookies (captcha clearance tokens are delivered as
+cookies by the anti-scraping middleware).  Retries with backoff are the
+callers' own: the scraper and the vetting service each run a loop on
+:class:`repro.core.resilience.RetryPolicy`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.web.http import Headers, Request, Response, Url
-from repro.web.network import ConnectionFailedError, NetworkError, TouchedKeys, VirtualInternet
+from repro.web.network import NetworkError, TouchedKeys, VirtualInternet
 
 
 class RequestTimeoutError(NetworkError):
@@ -47,7 +49,9 @@ class CookieJar(TouchedKeys):
             self.set(host, name.strip(), value.strip())
 
     def header_for(self, host: str) -> str:
-        cookies = self._cookies.get(host, {})
+        cookies = self._cookies.get(host)
+        if not cookies:
+            return ""
         return "; ".join(f"{name}={value}" for name, value in sorted(cookies.items()))
 
     def get(self, host: str, name: str) -> str | None:
@@ -88,7 +92,9 @@ class HttpClient:
         self.client_id = client_id
         self.default_timeout = default_timeout
         self.max_redirects = max_redirects
-        self.user_agent = user_agent
+        #: Each request's headers start as a copy of these (``Host`` and
+        #: ``Cookie`` are added per request).
+        self._headers = Headers({"User-Agent": user_agent})
         self.cookies = CookieJar()
         self.requests_sent = 0
 
@@ -145,46 +151,11 @@ class HttpClient:
             return response
         raise TooManyRedirectsError(str(url), self.max_redirects)
 
-    def get_with_retries(
-        self,
-        url: str | Url,
-        attempts: int = 3,
-        backoff: float = 0.5,
-        timeout: float | None = None,
-        policy: "object | None" = None,
-    ) -> Response:
-        """GET with bounded retries on transport errors (not HTTP errors).
-
-        Backoff between attempts is applied on the virtual clock, matching
-        the rate-limiting discipline described in the methodology.  Passing a
-        :class:`repro.core.resilience.RetryPolicy` as ``policy`` makes this
-        loop use the repo-wide retry definition (``attempts``/``backoff``
-        are ignored in that case).
-        """
-        if policy is None:
-            from repro.core.resilience import RetryPolicy
-
-            policy = RetryPolicy(max_attempts=attempts, base_delay=backoff, multiplier=2.0)
-        if policy.max_attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        last_error: NetworkError | None = None
-        attempt = 0
-        while True:
-            try:
-                return self.get(url, timeout=timeout)
-            except (ConnectionFailedError, RequestTimeoutError) as error:
-                last_error = error
-                if not policy.should_retry(attempt + 1):
-                    break
-                self.internet.clock.sleep(policy.delay(attempt))
-                attempt += 1
-        assert last_error is not None
-        raise last_error
-
     # -- internals -----------------------------------------------------------
 
     def _exchange(self, method: str, url: Url, body: str, extra: Headers | None) -> tuple[Response, float]:
-        request_headers = Headers({"User-Agent": self.user_agent, "Host": url.host})
+        request_headers = self._headers.copy()
+        request_headers["Host"] = url.host
         cookie_header = self.cookies.header_for(url.host)
         if cookie_header:
             request_headers["Cookie"] = cookie_header

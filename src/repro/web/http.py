@@ -9,6 +9,7 @@ walls, 404, 429 rate limits, 5xx failures).
 from __future__ import annotations
 
 import functools
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -41,6 +42,14 @@ REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 #: What an absolute reference starts with in each scheme whose references
 #: :meth:`Url.join` may parse without ``urljoin``.
 _ABSOLUTE_PREFIXES = {"http": "http://", "https": "https://"}
+
+#: A plain absolute URL, which :func:`_parse` splits without ``urlsplit``:
+#: a lower-case ``http`` or ``https`` scheme; a host of ``[a-z0-9.-]`` only,
+#: so no port, userinfo or brackets; then a path that is empty or starts
+#: with ``/``, a query and a fragment; and no tab, CR or LF anywhere, which
+#: ``urlsplit`` would delete.  ``urlsplit`` splits such a string at the
+#: same places, and its ``hostname`` is the host as it is.
+_PLAIN_URL = re.compile(r"(https?)://([a-z0-9.-]+)(/[^?#\t\r\n]*)?(?:\?([^#\t\r\n]*))?(?:#([^\t\r\n]*))?")
 
 
 class Url:
@@ -184,8 +193,14 @@ def _parse(raw: str) -> Url:
 
     A vetting service answering 10^4 requests asks for about 4,100 distinct
     URLs, and a crawl asks again for a URL within a few hundred requests of
-    its first, so 4,096 entries keep nearly every repeat.
+    its first, so 4,096 entries keep nearly every repeat.  A plain absolute
+    URL (:data:`_PLAIN_URL`) is read with one match; every other string
+    goes through ``urlsplit``.
     """
+    plain = _PLAIN_URL.fullmatch(raw)
+    if plain is not None:
+        scheme, host, path, query, fragment = plain.groups()
+        return Url(scheme, host, None, path or "/", query or "", fragment or "")
     parts = urllib.parse.urlsplit(raw)
     if not parts.netloc and not parts.scheme:
         # A bare path such as "/bots/1" — host resolved at join time.
@@ -225,10 +240,9 @@ class Headers:
     """Case-insensitive header map (single-valued, like the scraper needs)."""
 
     def __init__(self, initial: Mapping[str, str] | None = None) -> None:
-        self._items: dict[str, tuple[str, str]] = {}
-        if initial:
-            for key, value in initial.items():
-                self[key] = value
+        self._items: dict[str, tuple[str, str]] = (
+            {key.lower(): (key, str(value)) for key, value in initial.items()} if initial else {}
+        )
 
     def __getitem__(self, key: str) -> str:
         return self._items[key.lower()][1]
@@ -257,11 +271,17 @@ class Headers:
 
     def copy(self) -> "Headers":
         clone = Headers()
-        clone._items = dict(self._items)
+        clone._items = self._items.copy()
         return clone
 
     def __repr__(self) -> str:
         return f"Headers({dict(self.items())!r})"
+
+
+#: What :meth:`Response.html`, ``text`` and ``json`` copy into each response.
+_HTML_HEADERS = Headers({"Content-Type": "text/html; charset=utf-8"})
+_TEXT_HEADERS = Headers({"Content-Type": "text/plain; charset=utf-8"})
+_JSON_HEADERS = Headers({"Content-Type": "application/json"})
 
 
 @dataclass
@@ -330,21 +350,24 @@ class Response:
         """Attach a ``Set-Cookie`` header (one cookie per response suffices)."""
         self.headers["Set-Cookie"] = f"{name}={value}"
 
+    # The helpers copy a prebuilt map (redirect builds its one entry), so
+    # every response owns a map that its middleware may change.
+
     @classmethod
     def html(cls, body: str, status: int = 200) -> "Response":
-        return cls(status=status, headers=Headers({"Content-Type": "text/html; charset=utf-8"}), body=body)
+        return cls(status, _HTML_HEADERS.copy(), body)
 
     @classmethod
     def text(cls, body: str, status: int = 200) -> "Response":
-        return cls(status=status, headers=Headers({"Content-Type": "text/plain; charset=utf-8"}), body=body)
+        return cls(status, _TEXT_HEADERS.copy(), body)
 
     @classmethod
     def json(cls, body: str, status: int = 200) -> "Response":
-        return cls(status=status, headers=Headers({"Content-Type": "application/json"}), body=body)
+        return cls(status, _JSON_HEADERS.copy(), body)
 
     @classmethod
     def redirect(cls, location: str, status: int = 302) -> "Response":
-        return cls(status=status, headers=Headers({"Location": location}))
+        return cls(status, Headers({"Location": location}))
 
     @classmethod
     def not_found(cls, message: str = "Not Found") -> "Response":

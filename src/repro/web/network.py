@@ -101,8 +101,9 @@ class VirtualClock:
         if seconds < 0:
             raise ValueError("the clock cannot run backwards")
         self._now += seconds
-        for watchdog in tuple(self._watchdogs):
-            watchdog(self._now)
+        if self._watchdogs:
+            for watchdog in tuple(self._watchdogs):
+                watchdog(self._now)
 
     def sleep(self, seconds: float) -> None:
         """Alias of :meth:`advance`; lets callers read naturally."""
@@ -142,7 +143,7 @@ class HostConditions:
         return self.base_latency + self.extra_latency + jitter
 
 
-@dataclass
+@dataclass(slots=True)
 class ExchangeRecord:
     """One exchange *attempt*, kept for politeness auditing.
 
@@ -179,9 +180,8 @@ class VirtualInternet(TouchedKeys):
     recent exchanges (1,024 by default) with their simulated timestamps,
     while the counters (``exchanges_completed``, ``exchanges_failed``,
     ``log_dropped``) and :meth:`request_rate`'s per-client history cover
-    every exchange.  Code that needs every record subscribes with
-    :meth:`add_observer`.  Its touched keys are the hostnames whose host
-    handled a request.
+    every exchange.  Its touched keys are the hostnames whose host handled
+    a request.
     """
 
     #: Default bound on the exchange log: a recent window for auditing and
@@ -212,7 +212,6 @@ class VirtualInternet(TouchedKeys):
         #: long-lived service run keeps RSS bounded by dropping the oldest
         #: audit entries; the counter keeps the bound honest.
         self.log_dropped = 0
-        self._observers: list[Callable[[ExchangeRecord], None]] = []
         self._rate_history = max(rate_history, 1)
         self._client_times: dict[str, list[float]] = {}
         self.exchanges_completed = 0
@@ -292,12 +291,6 @@ class VirtualInternet(TouchedKeys):
     def hostnames(self) -> list[str]:
         return sorted(self._hosts)
 
-    # -- observation -------------------------------------------------------
-
-    def add_observer(self, callback: Callable[[ExchangeRecord], None]) -> None:
-        """Invoke ``callback`` for every completed exchange."""
-        self._observers.append(callback)
-
     # -- chaos -------------------------------------------------------------
 
     def install_chaos(self, schedule: "FaultSchedule") -> "FaultSchedule":
@@ -329,7 +322,7 @@ class VirtualInternet(TouchedKeys):
         self.clock.advance(latency)
         if entry.conditions.failure_rate and self._rng.random() < entry.conditions.failure_rate:
             error = ConnectionFailedError(hostname)
-            self._record_failure(request, latency, error)
+            self._record(request, 0, latency, type(error).__name__)
             raise error
         response = None
         if self.chaos is not None:
@@ -338,7 +331,7 @@ class VirtualInternet(TouchedKeys):
             try:
                 response = self.chaos.intercept(request, self.clock.now())
             except NetworkError as error:
-                self._record_failure(request, latency, error)
+                self._record(request, 0, latency, type(error).__name__)
                 raise
         if response is None:
             if self._touched is not None:
@@ -346,45 +339,27 @@ class VirtualInternet(TouchedKeys):
             response = entry.host.handle(request, self)
             if self.chaos is not None:
                 response = self.chaos.mangle(request, response, self.clock.now())
-        record = ExchangeRecord(
-            time=self.clock.now(),
-            client_id=request.client_id,
-            method=request.method,
-            url=str(request.url),
-            status=response.status,
-            latency=latency,
-        )
-        self._record(record)
+        self._record(request, response.status, latency)
         return response, latency
 
-    def _record_failure(self, request: Request, latency: float, error: BaseException) -> None:
-        self._record(
-            ExchangeRecord(
-                time=self.clock.now(),
-                client_id=request.client_id,
-                method=request.method,
-                url=str(request.url),
-                status=0,
-                latency=latency,
-                error=type(error).__name__,
-            )
-        )
-
-    def _record(self, record: ExchangeRecord) -> None:
+    def _record(self, request: Request, status: int, latency: float, error: str = "") -> None:
+        """Log, count and time-stamp one attempt; ``status`` 0 and ``error`` name a failed one."""
+        now = self.clock.now()
+        client_id = request.client_id
         if self.log.maxlen is not None and len(self.log) == self.log.maxlen:
             self.log_dropped += 1
-        self.log.append(record)
-        if record.ok:
+        self.log.append(ExchangeRecord(now, client_id, request.method, str(request.url), status, latency, error))
+        if status > 0:
             self.exchanges_completed += 1
         else:
             self.exchanges_failed += 1
-        times = self._client_times.setdefault(record.client_id, [])
-        times.append(record.time)
+        times = self._client_times.get(client_id)
+        if times is None:
+            times = self._client_times[client_id] = []
+        times.append(now)
         # Amortised O(1) trim: drop the old half once we hold 2x the history.
         if len(times) > 2 * self._rate_history:
             del times[: len(times) - self._rate_history]
-        for observer in self._observers:
-            observer(record)
 
     # -- resume support ------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 A :class:`VirtualHost` is what gets registered on the
 :class:`~repro.web.network.VirtualInternet`.  Routes use ``{param}`` path
-segments; middleware wraps the route chain and is how
-:mod:`repro.web.antiscrape` injects rate limits and captcha walls.
+segments and match the whole path; middleware wraps the route table and
+is how :mod:`repro.web.antiscrape` injects rate limits and captcha walls.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol
@@ -28,31 +29,41 @@ class Middleware(Protocol):
 
 @dataclass
 class Route:
-    """A compiled route: method + ``{param}`` pattern + handler."""
+    """A compiled route: method + ``{param}`` pattern + handler.
+
+    A route matches the whole path.  A pattern without ``{param}`` is
+    static: it has no ``regex`` and matches its own text, compared as a
+    string.
+    """
 
     method: str
     pattern: str
     handler: Handler
-    regex: re.Pattern[str]
+    regex: re.Pattern[str] | None
 
     @classmethod
     def compile(cls, method: str, pattern: str, handler: Handler) -> "Route":
         """Compile a pattern.  ``{name}`` matches one segment; ``{*name}``
         matches the rest of the path (slashes included)."""
+        segments = re.split(r"(\{\*?[a-zA-Z_][a-zA-Z0-9_]*\})", pattern)
+        if len(segments) == 1:
+            return cls(method.upper(), pattern, handler, None)
         parts: list[str] = []
-        for segment in re.split(r"(\{\*?[a-zA-Z_][a-zA-Z0-9_]*\})", pattern):
+        for segment in segments:
             if segment.startswith("{*") and segment.endswith("}"):
                 parts.append(f"(?P<{segment[2:-1]}>.+)")
             elif segment.startswith("{") and segment.endswith("}"):
                 parts.append(f"(?P<{segment[1:-1]}>[^/]+)")
             else:
                 parts.append(re.escape(segment))
-        return cls(method=method.upper(), pattern=pattern, handler=handler, regex=re.compile("^" + "".join(parts) + "$"))
+        return cls(method.upper(), pattern, handler, re.compile("".join(parts)))
 
     def match(self, method: str, path: str) -> dict[str, str] | None:
         if method.upper() != self.method:
             return None
-        found = self.regex.match(path)
+        if self.regex is None:
+            return {} if path == self.pattern else None
+        found = self.regex.fullmatch(path)
         return found.groupdict() if found else None
 
 
@@ -63,6 +74,13 @@ class VirtualHost:
     receive ``(request, **path_params)`` and return a
     :class:`~repro.web.http.Response`.
     """
+
+    #: The middleware around the route table, built when middleware is
+    #: added.  It holds the host's route list (a route added later is seen)
+    #: and name, never the host: a host that held itself would wait for the
+    #: cycle collector instead of being freed when its last reference goes.
+    #: ``None`` (no middleware): :meth:`handle` dispatches directly.
+    _chain: Callable[[Request], Response] | None = None
 
     def __init__(self, name: str = "host") -> None:
         self.name = name
@@ -87,6 +105,10 @@ class VirtualHost:
     def add_middleware(self, middleware: Middleware) -> None:
         """Append middleware; the first added runs outermost."""
         self._middleware.append(middleware)
+        chain: Callable[[Request], Response] = functools.partial(_dispatch, self._routes, self.name)
+        for entry in reversed(self._middleware):
+            chain = _wrap(entry, chain)
+        self._chain = chain
 
     # -- resume support ------------------------------------------------------
 
@@ -116,17 +138,19 @@ class VirtualHost:
     def handle(self, request: Request, internet: "VirtualInternet | None" = None) -> Response:
         """Run the middleware chain and dispatch to the matching route."""
         self.requests_served += 1
-        handler: Callable[[Request], Response] = self._dispatch
-        for middleware in reversed(self._middleware):
-            handler = _wrap(middleware, handler)
-        return handler(request)
+        if self._chain is None:
+            return _dispatch(self._routes, self.name, request)
+        return self._chain(request)
 
-    def _dispatch(self, request: Request) -> Response:
-        for route in self._routes:
-            params = route.match(request.method, request.path)
-            if params is not None:
-                return route.handler(request, **params)
-        return Response.not_found(f"{self.name}: no route for {request.method} {request.path}")
+
+def _dispatch(routes: list[Route], name: str, request: Request) -> Response:
+    """Hand ``request`` to the first of ``routes``, in registration order, that matches."""
+    method, path = request.method, request.path
+    for route in routes:
+        params = route.match(method, path)
+        if params is not None:
+            return route.handler(request, **params)
+    return Response.not_found(f"{name}: no route for {method} {path}")
 
 
 def _wrap(middleware: Middleware, inner: Callable[[Request], Response]) -> Callable[[Request], Response]:

@@ -6,6 +6,9 @@ again.  Both rest on facts about ``urllib.parse`` checked here on the
 running Python: a memoized parse has the fields of an uncached one (or
 raises the same error), and parsing a ``Url``'s text gives back its fields
 for every URL form the sites, the scraper and the vetting service build.
+A plain absolute URL is split by one regular expression instead of
+``urlsplit``; every parse, plain or hostile, must give the fields (or
+raise the error) that ``urlsplit`` and its ``hostname`` and ``port`` give.
 
 A redirect is resolved and its query read without ``urllib.parse``'s
 round trips: ``Url.join`` parses an absolute reference in the base's
@@ -250,6 +253,126 @@ def test_only_an_absolute_reference_in_the_bases_scheme_skips_urljoin(reference,
     monkeypatch.setattr(urllib.parse, "urljoin", lambda *args: calls.append(args) or original(*args))
     assert fields(base.join(reference)) == fields(expected)
     assert calls == ([(str(base), reference)] if resolved_by_urljoin else [])
+
+
+# -- a plain URL is split without urlsplit, as urlsplit splits it ---------------
+
+
+def split_by_urlsplit(raw: str) -> tuple:
+    """A parse's fields from ``urlsplit`` and its ``hostname`` and ``port`` alone."""
+    parts = urllib.parse.urlsplit(raw)
+    if not parts.netloc and not parts.scheme:
+        return ("", "", None, parts.path or "/", parts.query, parts.fragment)
+    return (parts.scheme or "https", parts.hostname or "", parts.port, parts.path or "/", parts.query, parts.fragment)
+
+
+def oracle_outcome(raw: str):
+    try:
+        return ("parsed", split_by_urlsplit(raw))
+    except ValueError as error:
+        return ("raised", type(error))
+
+
+plain_hosts = st.lists(st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True), min_size=1, max_size=3).map(".".join)
+#: Text a path, query or fragment may hold: reserved, percent, non-ASCII and control characters.
+url_text = st.text(alphabet=st.sampled_from("aZ09/.-_~%!$&'()*+,;=:@?# é€\u3000\x00\x0b\x1f"), max_size=10)
+
+
+@st.composite
+def plain_urls(draw) -> str:
+    """What the sites and the scraper send: lower-case http(s), a plain host, an absolute path."""
+    scheme = draw(st.sampled_from(["https://", "http://"]))
+    path = draw(st.one_of(st.just(""), url_text.map("/".__add__)))
+    query = draw(st.one_of(st.just(""), url_text.map("?".__add__)))
+    fragment = draw(st.one_of(st.just(""), url_text.map("#".__add__)))
+    return scheme + draw(plain_hosts) + path + query + fragment
+
+
+#: What may turn a plain URL into one that ``urlsplit`` must read: upper
+#: case, a port, userinfo, brackets, percent, non-ASCII (fullwidth forms
+#: that NFKC maps to a delimiter among them), whitespace and controls.
+hostile_splices = st.sampled_from(
+    ["A", "H", "S", ":", ":8443", ":0", ":99999", ":-1", ":x", "@", "user:pw@", "[", "]", "[::1]", "%", "%2f",
+     "é", "ß", "\uff0f", "\uff1a", "\u2100", "\t", "\r", "\n", " ", "\x00", "\x1f", "\x0b", "_", "/", "?", "#", ""]
+)
+
+
+@st.composite
+def hostile_urls(draw) -> str:
+    """A plain URL with hostile text spliced in anywhere, often around the scheme and host."""
+    url = draw(plain_urls())
+    boundary = url.index("://") + 3
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.one_of(st.just(0), st.integers(0, boundary), st.integers(boundary, len(url)),
+                            st.integers(0, len(url))))
+        url = url[:at] + draw(hostile_splices) + url[at:]
+    return url
+
+
+@settings(max_examples=1500)
+@given(raw=st.one_of(plain_urls(), hostile_urls(), raw_urls(), hostile_references(), st.text(max_size=30)))
+@example(raw="https://a.sim")
+@example(raw="https://a.sim?q#f")
+@example(raw="http://a.sim#f?q")
+@example(raw="https://a.sim/p?q#f#g")
+@example(raw="https://-.sim/")
+@example(raw="https://a.sim:/")
+@example(raw="https://a.sim/\x00")
+@example(raw="\x00https://a.sim/")
+@example(raw=" https://a.sim/")
+@example(raw="https://a.sim/x\n")
+@example(raw="https://\ta.sim/")
+@example(raw="https:///x")
+@example(raw="https://a.sim\uff0fb/")
+@example(raw="https://a.sim./p")
+def test_a_parse_equals_urlsplit_and_its_hostname_and_port(raw):
+    assert outcome(http._parse.__wrapped__, raw) == oracle_outcome(raw)
+    assert outcome(Url.parse, raw) == oracle_outcome(raw)
+
+
+@pytest.mark.parametrize(
+    ("raw", "skips_urlsplit"),
+    [
+        ("https://top.gg.sim/bot/12", True),
+        ("https://slowcdn.discord.sim/hop/1?client_id=7", True),
+        ("https://discord.sim/oauth2/authorize?client_id=1&permissions=8&scope=bot#x", True),
+        ("http://a.sim", True),
+        ("https://a.sim?q=1", True),
+        ("https://a.sim#f", True),
+        ("https://a-1.b2.sim/%7e/é?x=é#€", True),
+        ("https://a.sim/p\x00\x0b", True),
+        ("HTTPS://a.sim/", False),
+        ("Http://a.sim/", False),
+        ("https://A.sim/", False),
+        ("https://a.sim:8443/", False),
+        ("https://a.sim:/", False),
+        ("https://user@a.sim/", False),
+        ("https://[::1]/", False),
+        ("https://a.sim%2f/", False),
+        ("https://a_b.sim/", False),
+        ("https://é.sim/", False),
+        ("https://a.sim/\tx", False),
+        ("https://a.sim/x\r", False),
+        ("https://a.sim/?q\n", False),
+        (" https://a.sim/", False),
+        ("\x00https://a.sim/", False),
+        ("https:///x", False),
+        ("https://", False),
+        ("https:a.sim/x", False),
+        ("ftp://a.sim/", False),
+        ("//a.sim/x", False),
+        ("/bots/1", False),
+        ("bots/1", False),
+        ("", False),
+    ],
+)
+def test_only_a_plain_url_skips_urlsplit(raw, skips_urlsplit, monkeypatch):
+    expected = oracle_outcome(raw)
+    calls = []
+    original = urllib.parse.urlsplit
+    monkeypatch.setattr(urllib.parse, "urlsplit", lambda *args: calls.append(args) or original(*args))
+    assert outcome(http._parse.__wrapped__, raw) == expected
+    assert calls == ([] if skips_urlsplit else [(raw,)])
 
 
 # -- the query decoder decodes as parse_qsl decodes -------------------------------

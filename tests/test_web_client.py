@@ -1,10 +1,10 @@
-"""Tests for the HTTP client: redirects, timeouts, retries, cookies."""
+"""Tests for the HTTP client: redirects, timeouts, cookies."""
 
 import pytest
 
-from repro.web.client import HttpClient, RequestTimeoutError, TooManyRedirectsError
-from repro.web.http import Response, Url
-from repro.web.network import ConnectionFailedError, HostConditions
+from repro.web.client import CookieJar, HttpClient, RequestTimeoutError, TooManyRedirectsError
+from repro.web.http import Headers, Response, Url
+from repro.web.network import HostConditions
 from repro.web.server import VirtualHost
 
 
@@ -49,6 +49,18 @@ class TestBasics:
         response = HttpClient(internet).get(url)
         assert seen == [url] and seen[0] is url
         assert response.url is url
+
+    def test_each_request_gets_its_own_headers(self, internet, host):
+        seen = []
+        host.add_route("/headers", lambda request: seen.append(dict(request.headers.items())) or Response.text(""))
+        client = HttpClient(internet, user_agent="probe/2")
+        client.get("https://a.sim/headers", headers=Headers({"X-Extra": "1", "user-agent": "override"}))
+        client.get("https://a.sim/setcookie")
+        client.get("https://a.sim/headers")
+        assert seen == [
+            {"user-agent": "override", "Host": "a.sim", "X-Extra": "1"},
+            {"User-Agent": "probe/2", "Host": "a.sim", "Cookie": "sid=s3cr3t"},
+        ]
 
     def test_post_body(self, internet, host):
         client = HttpClient(internet)
@@ -109,33 +121,6 @@ def _slow_host() -> VirtualHost:
     return host
 
 
-class TestRetries:
-    def test_retries_connection_failures(self, internet, host):
-        internet.register("flaky.sim", _slow_host(), HostConditions(failure_rate=1.0))
-        client = HttpClient(internet)
-        with pytest.raises(ConnectionFailedError):
-            client.get_with_retries("https://flaky.sim/", attempts=3)
-        # One exchange per attempt.
-        assert client.requests_sent == 3
-
-    def test_retry_backoff_advances_clock(self, clock, internet, host):
-        internet.register("flaky.sim", _slow_host(), HostConditions(base_latency=0.0, failure_rate=1.0))
-        client = HttpClient(internet)
-        with pytest.raises(ConnectionFailedError):
-            client.get_with_retries("https://flaky.sim/", attempts=3, backoff=1.0)
-        # Backoff 1.0 + 2.0 between three attempts.
-        assert clock.now() == pytest.approx(3.0)
-
-    def test_attempts_must_be_positive(self, internet, host):
-        with pytest.raises(ValueError):
-            HttpClient(internet).get_with_retries("https://a.sim/", attempts=0)
-
-    def test_success_needs_no_retry(self, internet, host):
-        client = HttpClient(internet)
-        assert client.get_with_retries("https://a.sim/").body == "home"
-        assert client.requests_sent == 1
-
-
 class TestCookies:
     def test_cookie_stored_and_replayed(self, internet, host):
         client = HttpClient(internet)
@@ -150,3 +135,11 @@ class TestCookies:
         client = HttpClient(internet)
         client.get("https://a.sim/setcookie")
         assert client.get("https://b.sim/readcookie").body == "none"
+
+    def test_a_host_without_cookies_gets_no_header(self):
+        jar = CookieJar()
+        assert jar.header_for("a.sim") == ""
+        jar.store("a.sim", "sid=1; Path=/")
+        jar.store("a.sim", "lang=en")
+        assert jar.header_for("a.sim") == "lang=en; sid=1"
+        assert jar.header_for("b.sim") == ""

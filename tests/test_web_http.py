@@ -134,6 +134,17 @@ class TestHeaders:
         del headers["A"]
         assert "a" not in headers
 
+    def test_built_from_a_mapping_as_by_assignment(self):
+        mapping = {"Content-Type": "text/html", "X-Count": 3, "x-count": 4, "Host": "a.sim"}
+        assigned = Headers()
+        for key, value in mapping.items():
+            assigned[key] = value
+        built = Headers(mapping)
+        assert list(built.items()) == list(assigned.items()) == [
+            ("Content-Type", "text/html"), ("x-count", "4"), ("Host", "a.sim"),
+        ]
+        assert list(Headers(built).items()) == list(built.items())
+
     def test_copy_is_independent(self):
         headers = Headers({"A": "1"})
         clone = headers.copy()
@@ -178,3 +189,19 @@ class TestResponse:
         response = Response.text("x")
         response.set_cookie("session", "abc")
         assert response.headers["Set-Cookie"] == "session=abc"
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Response.html("x"), lambda: Response.text("x"), lambda: Response.json("{}"),
+         lambda: Response.redirect("/next"), lambda: Response.not_found()],
+        ids=["html", "text", "json", "redirect", "not_found"],
+    )
+    def test_each_response_owns_its_headers(self, build):
+        first = build()
+        expected = dict(first.headers.items())
+        first.headers["X-Stamp"] = "yes"
+        first.headers["Content-Type"] = "changed"
+        del first.headers["Content-Type"]
+        second = build()
+        assert dict(second.headers.items()) == expected
+        assert "X-Stamp" not in second.headers

@@ -108,13 +108,6 @@ class TestAuditing:
         assert record.status == 200
         assert record.url == "https://a.sim/"
 
-    def test_observer_callback(self, internet):
-        internet.register("a.sim", _make_host())
-        seen = []
-        internet.add_observer(seen.append)
-        _get(internet, "https://a.sim/")
-        assert len(seen) == 1
-
     def test_request_rate_window(self, clock, internet):
         internet.register("a.sim", _make_host(), HostConditions(base_latency=1.0))
         for _ in range(10):

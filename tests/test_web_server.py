@@ -1,11 +1,21 @@
 """Tests for virtual host routing and middleware."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.web.http import Request, Response, Url
 from repro.web.server import Route, VirtualHost
 
 
 def _request(path: str, method: str = "GET") -> Request:
     return Request(method, Url.parse(f"https://h.sim{path}"))
+
+
+def _request_for(path: str) -> Request:
+    """A request for ``path`` exactly: parsing would delete a tab, CR or LF."""
+    return Request("GET", Url(host="h.sim", path=path))
 
 
 class TestRouteCompile:
@@ -34,6 +44,26 @@ class TestRouteCompile:
         route = Route.compile("GET", "/{owner}/{repo}", lambda request, owner, repo: Response.text(""))
         assert route.match("GET", "/alice/bot") == {"owner": "alice", "repo": "bot"}
 
+    @pytest.mark.parametrize(
+        ("pattern", "path"),
+        [("/about", "/about\n"), ("/bot/{bot_id}/vote", "/bot/7/vote\n"), ("/raw/{*path}", "/raw/a\n")],
+    )
+    def test_a_route_matches_the_whole_path_not_up_to_a_trailing_newline(self, pattern, path):
+        route = Route.compile("GET", pattern, lambda request, **params: Response.text("x"))
+        assert route.match("GET", path) is None
+        host = VirtualHost()
+        host.add_route(pattern, lambda request, **params: Response.text("served"))
+        assert host.handle(_request_for(path)).status == 404
+
+    def test_only_a_pattern_without_params_is_static(self):
+        handler = lambda request, **params: Response.text("")  # noqa: E731
+        static = Route.compile("GET", "/robots.txt", handler)
+        assert static.regex is None
+        assert static.match("GET", "/robots.txt") == {}
+        assert static.match("GET", "/robotsxtxt") is None
+        assert Route.compile("GET", "/bot/{bot_id}", handler).regex is not None
+        assert Route.compile("GET", "/raw/{*path}", handler).regex is not None
+
 
 class TestDispatch:
     def test_handler_receives_params(self):
@@ -57,6 +87,25 @@ class TestDispatch:
         host.add_route("/{anything}", lambda request, anything: Response.text("second"))
         assert host.handle(_request("/a")).body == "first"
         assert host.handle(_request("/b")).body == "second"
+
+    def test_a_param_route_registered_before_a_static_one_wins(self):
+        host = VirtualHost()
+        host.add_route("/{page}", lambda request, page: Response.text(f"param {page}"))
+        host.add_route("/about", lambda request: Response.text("static"))
+        assert host.handle(_request("/about")).body == "param about"
+
+    def test_a_route_added_after_requests_is_served(self):
+        host = VirtualHost()
+        host.add_route("/", lambda request: Response.text("home"))
+        assert host.handle(_request("/late")).status == 404
+        host.add_route("/late", lambda request: Response.text("late"))
+        assert host.handle(_request("/late")).body == "late"
+
+    def test_the_method_is_matched_in_any_case(self):
+        host = VirtualHost()
+        host.add_route("/submit", lambda request: Response.text("posted"), method="post")
+        assert host.handle(_request("/submit", method="Post")).body == "posted"
+        assert host.handle(_request("/submit")).status == 404
 
     def test_post_route(self):
         host = VirtualHost()
@@ -108,3 +157,33 @@ class TestMiddleware:
 
         host.add_middleware(stamp)
         assert host.handle(_request("/")).headers["X-Stamp"] == "yes"
+
+    def test_middleware_added_after_requests_runs_from_the_next_request(self):
+        host = VirtualHost()
+        host.add_route("/", lambda request: Response.text("inner"))
+        assert host.handle(_request("/")).body == "inner"
+        host.add_middleware(lambda request, next_handler: Response.text("blocked", status=403))
+        assert host.handle(_request("/")).status == 403
+        assert host.requests_served == 2
+
+
+def _stamp(request, next_handler):
+    response = next_handler(request)
+    response.headers["X-Stamp"] = "yes"
+    return response
+
+
+class TestHostLifetime:
+    """A host is freed by reference counting: its middleware chain does not hold it."""
+
+    @pytest.mark.parametrize("middleware", [[], [_stamp], [_stamp, _stamp]], ids=["none", "one", "two"])
+    def test_a_host_is_freed_without_the_collector(self, middleware, collector):
+        gc.disable()
+        host = VirtualHost()
+        host.add_route("/", lambda request: Response.text("x"))
+        for entry in middleware:
+            host.add_middleware(entry)
+        assert host.handle(_request("/")).status == 200
+        alive = weakref.ref(host)
+        del host
+        assert alive() is None
